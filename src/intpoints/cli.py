@@ -26,7 +26,7 @@ from .pointset import (
     pointset_characteristic,
     verify,
 )
-from .search import CharFilter, SearchConfig, search
+from .search import CharFilter, CheckpointError, SearchConfig, search
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -131,9 +131,13 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     count = 0
-    for m in search(config, checkpoint=args.resume):
-        print(_record(m))
-        count += 1
+    try:
+        for m in search(config, checkpoint=args.resume):
+            print(_record(m))
+            count += 1
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"# {count} point set(s)", file=sys.stderr)
     return EXIT_OK
 
@@ -205,3 +209,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -15,6 +15,20 @@ into the square-free part of (u^2 - d^2)(d^2 - v^2), so the u- and v-halves
 can be decomposed independently (all prime factors are at most 3*d_max and
 come from a sieve) and candidates for a fixed k are found by table lookup
 instead of scanning all (a, b) pairs.
+
+The clique stage keeps one integer bitset of neighbours per signed
+candidate.  Mirroring in the base line keeps distances, so each pair of
+raw candidates is tested twice, once with equal and once with opposite
+signs of y, for all four of its signed pairs.  With general position
+required, an edge is dropped when its two points are collinear with a base
+point or concyclic with both, so the clique search tests only triples and
+quadruples of chosen points.  k-core pruning removes vertices with fewer
+than n - 3 live neighbours.  The search then takes candidates lowest index
+first; after each new vertex it keeps the candidates among its neighbours
+(a bitset intersection) that lie on no line through it and an earlier
+chosen point and on no circle through it and two earlier chosen or base
+points, and it stops a branch once the chosen and remaining vertices
+cannot reach n - 2.
 """
 
 from __future__ import annotations
@@ -341,6 +355,35 @@ def integral_pair_check(p: CandidatePoint, q: CandidatePoint) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
+# A point (x, y*sqrt(k)) in scaled coordinates is lifted to (x^2 + k*y^2, x, y).
+# A test (A, B, C, D) meets the point with lift (n, x, y) when
+# A*n + B*x + C*y + D == 0: for the line through two points A = 0, and for
+# the circle through three points (A, B, C, D) are the cofactors of the 4x4
+# concyclicity determinant along the row of the fourth point.
+
+
+def _line(p, q) -> tuple[int, int, int, int]:
+    _, px, py = p
+    _, qx, qy = q
+    return (0, py - qy, qx - px, px * qy - qx * py)
+
+
+def _circle(p, q, r) -> tuple[int, int, int, int]:
+    (n1, x1, y1), (n2, x2, y2), (n3, x3, y3) = p, q, r
+    return (
+        (x3 - x1) * (y2 - y1) - (x2 - x1) * (y3 - y1),
+        (n2 - n1) * (y3 - y1) - (n3 - n1) * (y2 - y1),
+        (n3 - n1) * (x2 - x1) - (n2 - n1) * (x3 - x1),
+        n1 * (x2 * y3 - x3 * y2) - x1 * (n2 * y3 - n3 * y2) + y1 * (n2 * x3 - n3 * x2),
+    )
+
+
+def _avoids(tests, point) -> bool:
+    """True when the lifted point lies on none of the tested lines and circles."""
+    n, x, y = point
+    return all(a * n + b * x + c * y + e for a, b, c, e in tests)
+
+
 def _clique_stream(
     d: int,
     k: int,
@@ -349,70 +392,95 @@ def _clique_stream(
 ) -> Iterator[DistanceMatrix]:
     """Canonical point sets from cliques over signed scaled candidates.
 
-    ``verts`` holds (a, b, X, Y) with X = 2d*x and Y = 2d*y_coeff, both
-    signs present.  Pairwise distances are capped at min(d, config.d_max):
-    the base edge must stay the diameter, so any longer pair belongs to a
-    different base.
+    ``verts`` holds (a, b, X, Y) with X = 2d*x and Y = 2d*y_coeff.  Pairwise
+    distances are capped at min(d, config.d_max): the base edge must stay
+    the diameter, so any longer pair belongs to a different base.
+
+    A vertex's mirror partner (Y negated) is found by lookup and may be
+    absent.  Cliques come out in the order of an ascending index scan; the
+    module docstring describes the stages.
     """
     need = config.target_n - 2
     cap = min(d, config.d_max)
     two_d = 2 * d
+    x2 = 2 * d * d
+    base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     nv = len(verts)
     general = config.require_general_position
 
-    adj: list[set[int]] = [set() for _ in range(nv)]
+    def edge_length(n2: int, base_tests, xq: int, yq: int) -> int:
+        """Distance from p to q = (xq, yq) at squared scaled distance ``n2``,
+        or 0 when it is not integral, too long, or q meets one of p's
+        ``base_tests``."""
+        r = math.isqrt(n2)
+        if r * r != n2 or r % two_d:
+            return 0
+        t = r // two_d
+        if not 1 <= t <= cap:
+            return 0
+        if general and not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
+            return 0
+        return t
+
+    mirrors: dict[tuple[int, int, int, int], list[tuple[int, bool]]] = {}
+    for v, (a, b, x, y) in enumerate(verts):
+        mirrors.setdefault((a, b, x, abs(y)), []).append((v, y > 0))
+    # Mirror partners lie 2|y|*sqrt(k) apart, irrational unless k is a
+    # square, so then a clique holds at most one vertex of each class.
+    if (nv if math.isqrt(k) ** 2 == k else len(mirrors)) < need:
+        return
+    classes = [(x, y, k * y * y, members) for (_, _, x, y), members in mirrors.items()]
+
+    adj = [0] * nv
     dist: dict[tuple[int, int], int] = {}
-    for i in range(nv):
-        ai, bi, xi, yi = verts[i]
-        for j in range(i + 1, nv):
-            aj, bj, xj, yj = verts[j]
-            n2 = (xi - xj) ** 2 + k * (yi - yj) ** 2
-            r = math.isqrt(n2)
-            if r * r != n2 or r % two_d:
-                continue
-            t = r // two_d
-            if 1 <= t <= cap:
-                adj[i].add(j)
-                adj[j].add(i)
-                dist[(i, j)] = t
 
-    # base points in the same scaled coordinates
-    base_pts = [(0, 0), (2 * d * d, 0)]
+    def join(ps, qs, same_sign: bool, t: int) -> None:
+        for i, up_i in ps:
+            for j, up_j in qs:
+                if (up_i == up_j) == same_sign and i != j:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+                    dist[min(i, j), max(i, j)] = t
 
-    def collinear(p, q, r) -> bool:
-        return (q[0] - p[0]) * (r[1] - p[1]) == (r[0] - p[0]) * (q[1] - p[1])
+    for ci, (x, y, ky, members) in enumerate(classes):
+        p = (x * x + ky, x, y)
+        # q on one of these is collinear with a base point and p, or
+        # concyclic with both base points and p
+        base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
+        # Squared scaled distances from this class to itself and to every
+        # later class, with equal and with opposite signs of y (a class and
+        # itself with opposite signs: the mirror pair).  Only nonzero
+        # perfect squares go on to edge_length.
+        later = classes[ci:]
+        two_ky = 2 * k * y
+        sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _ in later]
+        cross = [two_ky * yq for _, yq, _, _ in later]
+        for same_sign, n2s in (
+            (True, [s - c for s, c in zip(sums, cross)]),
+            (False, [s + c for s, c in zip(sums, cross)]),
+        ):
+            for j in [j for j, n2 in enumerate(n2s) if n2 and math.isqrt(n2) ** 2 == n2]:
+                xq, yq, _, others = later[j]
+                t = edge_length(n2s[j], base_tests, xq, yq if same_sign else -yq)
+                if t:
+                    join(members, others, same_sign, t)
 
-    def concyclic(p, q, r, s) -> bool:
-        rows = [(x * x + k * y * y, x, y) for x, y in (p, q, r, s)]
+    lifts = [(x * x + k * y * y, x, y) for _, _, x, y in verts]
 
-        def det3(r1, r2, r3, c0, c1, c2):
-            return (
-                r1[c0] * (r2[c1] * r3[c2] - r2[c2] * r3[c1])
-                - r1[c1] * (r2[c0] * r3[c2] - r2[c2] * r3[c0])
-                + r1[c2] * (r2[c0] * r3[c1] - r2[c1] * r3[c0])
-            )
-
-        # expansion along the all-ones column
-        m0 = det3(rows[1], rows[2], rows[3], 0, 1, 2)
-        m1 = det3(rows[0], rows[2], rows[3], 0, 1, 2)
-        m2 = det3(rows[0], rows[1], rows[3], 0, 1, 2)
-        m3 = det3(rows[0], rows[1], rows[2], 0, 1, 2)
-        return m0 - m1 + m2 - m3 == 0
-
-    def admissible(pts: list[tuple[int, int]], newpt: tuple[int, int]) -> bool:
-        if not general:
-            return True
-        for p, q in combinations(pts, 2):
-            if collinear(p, q, newpt):
-                return False
-        for p, q, r in combinations(pts, 3):
-            if concyclic(p, q, r, newpt):
-                return False
-        return True
+    # k-core: every vertex of a clique on `need` vertices has `need - 1`
+    # neighbours in it.  A vertex on the base line is collinear with the
+    # base points.
+    alive = sum(1 << v for v in range(nv) if verts[v][3] or not general)
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for v in range(nv):
+            if alive >> v & 1 and (adj[v] & alive).bit_count() < need - 1:
+                alive ^= 1 << v
+                shrinking = True
 
     seen: set[tuple[tuple[int, ...], ...]] = set()
     chosen: list[int] = []
-    pts: list[tuple[int, int]] = list(base_pts)
 
     def emit() -> Optional[DistanceMatrix]:
         n = config.target_n
@@ -432,27 +500,41 @@ def _clique_stream(
         seen.add(canon.rows)
         return canon
 
-    def dfs(start: int) -> Iterator[DistanceMatrix]:
-        if len(chosen) == need:
-            out = emit()
-            if out is not None:
-                yield out
-            return
-        for idx in range(start, nv):
-            if len(chosen) + (nv - idx) < need:
-                break
-            if any(idx not in adj[c] for c in chosen):
-                continue
-            newpt = verts[idx][2:]
-            if not admissible(pts, newpt):
-                continue
-            chosen.append(idx)
-            pts.append(newpt)
-            yield from dfs(idx + 1)
-            chosen.pop()
-            pts.pop()
+    def narrow(cands: int) -> int:
+        """The candidates in general position with all chosen vertices.
 
-    yield from dfs(0)
+        ``cands`` already passed every test without the last chosen vertex.
+        """
+        *earlier, v = chosen
+        if not general or not earlier:
+            return cands
+        p = lifts[v]
+        tests = [_line(lifts[c], p) for c in earlier]
+        tests += [_circle(base, lifts[c], p) for base in (base1, base2) for c in earlier]
+        tests += [_circle(lifts[c], lifts[e], p) for c, e in combinations(earlier, 2)]
+        kept = 0
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if _avoids(tests, lifts[low.bit_length() - 1]):
+                kept |= low
+        return kept
+
+    def dfs(cands: int) -> Iterator[DistanceMatrix]:
+        while len(chosen) + cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            if len(chosen) == need:
+                out = emit()
+                if out is not None:
+                    yield out
+            else:
+                yield from dfs(narrow(cands & adj[v]))
+            chosen.pop()
+
+    yield from dfs(alive)
 
 
 def _signed(raw: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
@@ -495,16 +577,38 @@ def extend_cliques(
 # ---------------------------------------------------------------------------
 
 
+class CheckpointError(Exception):
+    """A checkpoint file that cannot be opened, read or parsed."""
+
+
 def _load_checkpoint(path) -> set[tuple[int, int]]:
+    """Completed (d, k) keys of a checkpoint file, created empty when missing.
+
+    A key counts only once its line ends in a newline.  An unterminated
+    last line is a write cut short: it is cut off the file, so that its key
+    runs again and the next append starts a line of its own.
+    """
     done = set()
     try:
-        with open(path) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) == 2:
-                    done.add((int(parts[0]), int(parts[1])))
-    except FileNotFoundError:
-        pass
+        with open(path, "a+b") as fh:
+            fh.seek(0)
+            data = fh.read()
+            complete = data.rfind(b"\n") + 1
+            for number, line in enumerate(data[:complete].splitlines(), 1):
+                if not line.strip():
+                    continue
+                text = line.decode("ascii", "replace")
+                try:
+                    d, k = map(int, text.split())
+                except ValueError:
+                    raise CheckpointError(
+                        f"checkpoint {path}, line {number}: expected 'd k', got {text!r}"
+                    ) from None
+                done.add((d, k))
+            if complete < len(data):
+                fh.truncate(complete)
+    except OSError as exc:
+        raise CheckpointError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc
     return done
 
 
@@ -515,7 +619,8 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
     admissible characteristic; the base edge carries the diameter, so each
     set is found at exactly one (d, k) key.  With ``checkpoint`` given,
     completed keys are appended to that file and previously completed keys
-    are skipped (their results are assumed already consumed).
+    are skipped (their results are assumed already consumed); a checkpoint
+    that cannot be opened or parsed raises ``CheckpointError`` first.
     """
     filt = config.effective_filter()
     shard_index, shard_total = config.shard

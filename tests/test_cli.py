@@ -1,6 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import intpoints
 from intpoints.cli import main
 from intpoints.pointset import DistanceMatrix, EmbeddedPointSet, distances_from_embedding
 
@@ -151,6 +159,34 @@ class TestSearchCommand:
         assert rc == 0
         assert not out.strip()  # everything done already
 
+    def test_resume_directory_exits_2(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(tmp_path))
+        assert rc == 2
+        assert not out
+        assert "checkpoint" in err
+
+    def test_resume_malformed_checkpoint_exits_2(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        ck.write_text("8 1\n8 x\n")
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(ck))
+        assert rc == 2
+        assert not out
+        assert "line 2" in err
+
+    def test_resume_ignores_unterminated_last_line(self, capsys, tmp_path):
+        # key (8, 1) holds the only 4-set at d = 8; a torn line must not mark it done
+        ck = tmp_path / "ck"
+        ck.write_text("8 1")
+        rc, out, _ = run(
+            capsys, "search", "--n", "4", "--dmin", "8", "--dmax", "8", "--resume", str(ck)
+        )
+        assert rc == 0
+        assert len(out.strip().splitlines()) == 1
+        lines = ck.read_text().splitlines()
+        assert lines[0] == "8 1"
+        assert all(len(line.split()) == 2 for line in lines)
+        assert len(lines) == len(set(lines))
+
 
 class TestModsearchCommand:
     def test_modulus_5(self, capsys):
@@ -186,6 +222,18 @@ class TestDeterminism:
         _, second, _ = run(capsys, "search", "--n", "4", "--dmin", "1", "--dmax", "15")
         assert first == second
 
+    def test_search_jsonl_pinned(self, capsys):
+        # sha256 of the JSONL: record order and bytes, not just the sets
+        for argv, digest in (
+            (("--n", "4", "--dmax", "40"),
+             "7b2599270f10c786b8cee1530f68d1c08a4d18af19c77dad282a28172148e0c1"),
+            (("--n", "7", "--char", "2002", "--dmin", "22270", "--dmax", "22270"),
+             "9612f2882350e8207ea9fb6d498e8ef1ab1fe6c9b605b8b00c7932d14a1e3bb5"),
+        ):
+            rc, out, _ = run(capsys, "search", *argv)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_verify_output_stable(self, capsys, heptagon1_file):
         _, first, _ = run(capsys, "verify", str(heptagon1_file))
         _, second, _ = run(capsys, "verify", str(heptagon1_file))
@@ -217,3 +265,17 @@ class TestCatalogCommand:
             "min_diameter_general_position n=6": 174,
             "min_diameter_general_position n=7": 22270,
         }
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["intpoints", "intpoints.cli"])
+    def test_python_m(self, module):
+        src = str(Path(intpoints.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "catalog"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "22270" in proc.stdout

@@ -181,6 +181,17 @@ class TestExtendCliques:
         random.Random(3).shuffle(shuffled)
         assert {m.rows for m in extend_cliques(shuffled, 16, cfg)} == baseline
 
+    def test_one_sign_of_each_candidate(self):
+        cands = candidate_points(65, 1, 65)
+        cfg = SearchConfig(4, 65, 65, CharFilter.fixed(1))
+        full = {m.rows for m in extend_cliques(cands, 65, cfg)}
+        for sign in (1, -1):
+            half = list(extend_cliques([c for c in cands if c.sign == sign], 65, cfg))
+            assert half
+            for m in half:
+                assert verify(m).passed
+                assert m.rows in full
+
 
 class TestSearch:
     def test_unit_triangle(self):
@@ -250,6 +261,21 @@ class TestSearch:
         assert list(search(cfg, checkpoint=str(ck))) == []
         # a fresh run still reproduces the original results
         assert {m.rows for m in search(cfg)} == {m.rows for m in first}
+
+    def test_rectangle_needs_general_position_off(self):
+        # the 3-4-5 rectangle: four concyclic points with integral distances
+        rectangle = ((0, 5, 4, 3), (5, 0, 3, 4), (4, 3, 0, 5), (3, 4, 5, 0))
+        relaxed = SearchConfig(4, 5, 5, require_general_position=False)
+        assert [m.rows for m in search(relaxed)] == [rectangle]
+        assert list(search(SearchConfig(4, 5, 5))) == []
+
+    def test_trapezoid_of_two_mirror_pairs_rejected(self):
+        # two mirror pairs span an isosceles trapezoid: four concyclic points,
+        # none of them a base point, which only the clique search can test
+        trapezoid = (0, 528, 424, 424, 289, 289)
+        relaxed = SearchConfig(6, 528, 528, CharFilter.fixed(1), require_general_position=False)
+        assert trapezoid in [m.rows[0] for m in search(relaxed)]
+        assert list(search(SearchConfig(6, 528, 528, CharFilter.fixed(1)))) == []
 
 
 class TestMinimumDiameter:
