@@ -210,15 +210,6 @@ class QuadElem:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "k", k)
 
-    @staticmethod
-    def rational(a) -> "QuadElem":
-        return QuadElem(a, 0, 1)
-
-    @staticmethod
-    def root_multiple(b, k: int) -> "QuadElem":
-        """The element ``b*sqrt(k)``."""
-        return QuadElem(0, b, k)
-
     def _coerce(self, other) -> "QuadElem":
         if isinstance(other, QuadElem):
             if self.k != 1 and other.k != 1 and self.k != other.k:

@@ -133,7 +133,9 @@ def cmd_search(args) -> int:
     count = 0
     try:
         for m in search(config, checkpoint=args.resume):
-            print(_record(m))
+            # the checkpoint line of a key is written on the next step of
+            # the search, so its records must have left this process first
+            print(_record(m), flush=args.resume is not None)
             count += 1
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)

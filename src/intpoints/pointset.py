@@ -5,15 +5,17 @@ integral distances; it is in *general position* when no three points are
 collinear and no four lie on a common circle.  This module provides the
 distance-matrix representation, the square-free characteristic invariant,
 lexicographic canonical forms, exact planar embedding over Q(sqrt(k)),
+the integer line/circle kernel that both the search and ``verify`` use,
 and a full verification report for candidate matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .arith import (
     QuadElem,
@@ -416,49 +418,79 @@ def distances_from_embedding(e: EmbeddedPointSet) -> DistanceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# concyclicity
+# lines and circles: one integer kernel
 # ---------------------------------------------------------------------------
 
-Point = tuple[Union[int, Fraction], QuadElem]
+# A point (x, y*sqrt(k)) in scaled coordinates is lifted to (x^2 + k*y^2, x, y).
+# A test (A, B, C, D) meets the point with lift (n, x, y) when
+# A*n + B*x + C*y + D == 0: for the line through two points A = 0, and for
+# the circle through three points (A, B, C, D) are the cofactors of the 4x4
+# concyclicity determinant along the row of the fourth point.  In the plane
+# its rows are (x^2 + y^2, x, y, 1); sqrt(k) factors out of the y column and
+# the common denominator out of every row, so the integer determinant
+# vanishes exactly when the exact one does.
 
 
-def _as_quad_point(p) -> tuple[QuadElem, QuadElem]:
-    x, y = p
-    if not isinstance(x, QuadElem):
-        x = QuadElem(Fraction(x))
-    if not isinstance(y, QuadElem):
-        y = QuadElem(Fraction(y))
-    return x, y
+def _line(p, q) -> tuple[int, int, int, int]:
+    _, px, py = p
+    _, qx, qy = q
+    return (0, py - qy, qx - px, px * qy - qx * py)
 
 
-def is_concyclic_or_collinear(p: Point, q: Point, r: Point, s: Point) -> bool:
+def _circle(p, q, r) -> tuple[int, int, int, int]:
+    (n1, x1, y1), (n2, x2, y2), (n3, x3, y3) = p, q, r
+    return (
+        (x3 - x1) * (y2 - y1) - (x2 - x1) * (y3 - y1),
+        (n2 - n1) * (y3 - y1) - (n3 - n1) * (y2 - y1),
+        (n3 - n1) * (x2 - x1) - (n2 - n1) * (x3 - x1),
+        n1 * (x2 * y3 - x3 * y2) - x1 * (n2 * y3 - n3 * y2) + y1 * (n2 * x3 - n3 * x2),
+    )
+
+
+def _avoids(tests, point) -> bool:
+    """True when the lifted point lies on none of the tested lines and circles."""
+    n, x, y = point
+    return all(a * n + b * x + c * y + e for a, b, c, e in tests)
+
+
+def _lift(points: Sequence[tuple[Fraction, Fraction]], k: int) -> list[tuple[int, int, int]]:
+    """Lifts of the points (x, q*sqrt(k)), scaled to a common denominator."""
+    scale = math.lcm(*(c.denominator for pt in points for c in pt))
+    lifts = []
+    for x, q in points:
+        sx = x.numerator * (scale // x.denominator)
+        sq = q.numerator * (scale // q.denominator)
+        lifts.append((sx * sx + k * sq * sq, sx, sq))
+    return lifts
+
+
+def is_concyclic_or_collinear(p, q, r, s) -> bool:
     """True iff the four points lie on a common circle or common line.
 
-    Evaluates the 4x4 determinant with rows (x^2 + y^2, x, y, 1) exactly
-    in Q(sqrt(k)); it vanishes precisely on concyclic or collinear
-    quadruples.  Points are (x, y) pairs whose entries are rationals or
-    QuadElems over one radicand.
+    Points are (x, y) pairs with a rational x and a y that is rational or
+    ``b*sqrt(k)``, one k for all points (the form of every embedding);
+    rationals may be ints, Fractions or rational QuadElems.  Any other
+    point, or a nonzero rational y next to a ``b*sqrt(k)`` one, raises
+    ValueError.
     """
-    pts = [_as_quad_point(t) for t in (p, q, r, s)]
-    ks = {c.k for pt in pts for c in pt if c.k != 1}
-    if len(ks) > 1:
-        raise ValueError(f"points live in different quadratic fields: {sorted(ks)}")
-    rows = [[x * x + y * y, x, y, QuadElem(1)] for x, y in pts]
-
-    def det3(mat: list[list[QuadElem]]) -> QuadElem:
-        return (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-
-    total = QuadElem(0)
-    sign = 1
-    for c in range(4):
-        minor = [[rows[i][cc] for cc in range(4) if cc != c] for i in range(1, 4)]
-        total = total + sign * rows[0][c] * det3(minor)
-        sign = -sign
-    return total.is_zero()
+    coords, fields = [], set()
+    for x, y in (p, q, r, s):
+        if isinstance(x, QuadElem):
+            if not x.is_rational():
+                raise ValueError(f"x = {x} is not rational")
+            x = x.a
+        k = 1
+        if isinstance(y, QuadElem):
+            if y.a and y.b:
+                raise ValueError(f"y = {y} is neither rational nor b*sqrt(k)")
+            y, k = (y.b, y.k) if y.b else (y.a, 1)
+        if y:
+            fields.add(k)
+        coords.append((Fraction(x), Fraction(y)))
+    if len(fields) > 1:
+        raise ValueError(f"y coordinates lie in different fields Q*sqrt(k), k in {sorted(fields)}")
+    a, b, c, d = _lift(coords, fields.pop() if fields else 1)
+    return not _avoids((_circle(a, b, c),), d)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +555,7 @@ class VerificationReport:
         return out
 
 
-def verify(m: Union[DistanceMatrix, Sequence[Sequence[int]]]) -> VerificationReport:
+def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
     """Run every certificate check on ``m`` and report per-check results.
 
     Never raises for bad geometry: failures become report entries.  Raw
@@ -599,23 +631,18 @@ def verify(m: Union[DistanceMatrix, Sequence[Sequence[int]]]) -> VerificationRep
 
     if embedding is not None:
         concyclic = CheckResult(True)
+        lifts = _lift(embedding.points, embedding.k)
         for quad in combinations(range(n), 4):
-            pts = [(embedding.x(i), embedding.y_quad(i)) for i in quad]
-            if is_concyclic_or_collinear(*pts):
-                dists = {
-                    (i, j): matrix.entry(i, j) for i, j in combinations(quad, 2)
-                }
-                all_collinear = all(
-                    is_collinear_triple(
-                        dists[(t[0], t[1])], dists[(t[0], t[2])], dists[(t[1], t[2])]
-                    )
-                    for t in combinations(quad, 3)
+            a, b, c, d = (lifts[i] for i in quad)
+            if _avoids((_circle(a, b, c),), d):
+                continue
+            # four points on one line are not a concyclic quadruple
+            line = (_line(a, b),)
+            if _avoids(line, c) or _avoids(line, d):
+                concyclic = CheckResult(
+                    False, f"concyclic quadruple at points {tuple(i + 1 for i in quad)}"
                 )
-                if not all_collinear:
-                    concyclic = CheckResult(
-                        False, f"concyclic quadruple at points {tuple(i + 1 for i in quad)}"
-                    )
-                    break
+                break
     else:
         concyclic = CheckResult(False, "not evaluated: embedding failed")
 

@@ -41,7 +41,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import merge_squarefree, squarefree_part
-from .pointset import DistanceMatrix, canonical_form
+from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
 
 # ---------------------------------------------------------------------------
 # smallest-prime-factor sieve, shared by all searches in the process
@@ -353,35 +353,6 @@ def integral_pair_check(p: CandidatePoint, q: CandidatePoint) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # clique extension
 # ---------------------------------------------------------------------------
-
-
-# A point (x, y*sqrt(k)) in scaled coordinates is lifted to (x^2 + k*y^2, x, y).
-# A test (A, B, C, D) meets the point with lift (n, x, y) when
-# A*n + B*x + C*y + D == 0: for the line through two points A = 0, and for
-# the circle through three points (A, B, C, D) are the cofactors of the 4x4
-# concyclicity determinant along the row of the fourth point.
-
-
-def _line(p, q) -> tuple[int, int, int, int]:
-    _, px, py = p
-    _, qx, qy = q
-    return (0, py - qy, qx - px, px * qy - qx * py)
-
-
-def _circle(p, q, r) -> tuple[int, int, int, int]:
-    (n1, x1, y1), (n2, x2, y2), (n3, x3, y3) = p, q, r
-    return (
-        (x3 - x1) * (y2 - y1) - (x2 - x1) * (y3 - y1),
-        (n2 - n1) * (y3 - y1) - (n3 - n1) * (y2 - y1),
-        (n3 - n1) * (x2 - x1) - (n2 - n1) * (x3 - x1),
-        n1 * (x2 * y3 - x3 * y2) - x1 * (n2 * y3 - n3 * y2) + y1 * (n2 * x3 - n3 * x2),
-    )
-
-
-def _avoids(tests, point) -> bool:
-    """True when the lifted point lies on none of the tested lines and circles."""
-    n, x, y = point
-    return all(a * n + b * x + c * y + e for a, b, c, e in tests)
 
 
 def _clique_stream(

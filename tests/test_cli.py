@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -267,15 +269,45 @@ class TestCatalogCommand:
         }
 
 
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this checkout."""
+    src = str(Path(intpoints.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestResumeAfterKill:
+    def test_sigkill_then_resume_loses_nothing(self, tmp_path):
+        argv = [sys.executable, "-m", "intpoints", "search", "--n", "4", "--dmax", "60"]
+        env = child_env()
+        # stdout to a file is block-buffered unless this is set
+        env.pop("PYTHONUNBUFFERED", None)
+        full = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert full.returncode == 0
+        ck, out = tmp_path / "ck", tmp_path / "out.jsonl"
+        resume = argv + ["--resume", str(ck)]
+        with open(out, "wb") as fh:
+            proc = subprocess.Popen(resume, stdout=fh, stderr=subprocess.DEVNULL, env=env)
+            while proc.poll() is None and (
+                not ck.exists() or ck.read_bytes().count(b"\n") < 1000
+            ):
+                time.sleep(0.002)
+            proc.kill()
+            proc.wait(timeout=60)
+        assert proc.returncode == -signal.SIGKILL, "the search ended before it was killed"
+        with open(out, "ab") as fh:
+            rerun = subprocess.run(resume, stdout=fh, stderr=subprocess.DEVNULL, env=env, timeout=120)
+        assert rerun.returncode == 0
+        assert set(out.read_text().splitlines()) == set(full.stdout.splitlines())
+
+
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["intpoints", "intpoints.cli"])
     def test_python_m(self, module):
-        src = str(Path(intpoints.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", module, "catalog"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert "22270" in proc.stdout

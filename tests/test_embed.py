@@ -117,6 +117,18 @@ class TestConcyclic:
                 quad_point(0, 1, 2), quad_point(1, 1, 3), (0, 0), (1, 1)
             )
 
+    def test_irrational_x_rejected(self):
+        with pytest.raises(ValueError):
+            is_concyclic_or_collinear(
+                (QuadElem(1, 1, 2), 0), quad_point(1, 1, 2), quad_point(2, 1, 2), (3, 0)
+            )
+
+    def test_rational_y_next_to_radical_y_rejected(self):
+        with pytest.raises(ValueError):
+            is_concyclic_or_collinear(
+                quad_point(0, 1, 2), quad_point(1, 2, 2), (2, Fraction(1, 2)), (3, 0)
+            )
+
     def test_agrees_with_circumcenter_oracle_rational(self):
         rng = random.Random(22270)
         agree = 0

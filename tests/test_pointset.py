@@ -168,6 +168,17 @@ class TestVerify:
         assert report.realizable.passed
         assert report.no_collinear_triple.passed
 
+    def test_trapezoid_with_radicand_is_concyclic(self):
+        # isosceles trapezoid: bases 5 and 4, legs 4, diagonals 6; its
+        # coordinates have denominator 2 and y in Q*sqrt(7)
+        report = verify([[0, 5, 6, 4], [5, 0, 4, 6], [6, 4, 0, 4], [4, 6, 4, 0]])
+        assert report.embedding.k == 7
+        assert {p[1].denominator for p in report.embedding.points} == {1, 2}
+        assert report.no_concyclic_quadruple.detail == "concyclic quadruple at points (1, 2, 3, 4)"
+        assert not report.no_concyclic_quadruple.passed
+        assert report.no_collinear_triple.passed
+        assert report.realizable.passed
+
     def test_single_point(self):
         report = verify([[0]])
         assert report.passed
