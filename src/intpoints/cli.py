@@ -23,7 +23,7 @@ from .pointset import (
     NotRealizable,
     embed,
     parse_matrix_text,
-    pointset_characteristic,
+    pointset_characteristic,  # not called here; perfbench/tracing.py wraps this name
     verify,
 )
 from .search import CharFilter, CheckpointError, SearchConfig, search
@@ -92,12 +92,14 @@ def cmd_embed(args) -> int:
 
 
 def _record(m: DistanceMatrix) -> str:
+    # no three points of a search result are collinear, so every triangle,
+    # the embedding's base triangle too, has the set's characteristic
     e = embed(m)
     return json.dumps(
         {
             "n": m.n,
             "diameter": m.diameter(),
-            "characteristic": pointset_characteristic(m),
+            "characteristic": e.k,
             "matrix": [list(r) for r in m.rows],
             "points": _coords_json(e),
         }

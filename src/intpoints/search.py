@@ -11,10 +11,13 @@ no-three-collinear and no-four-concyclic predicates and emitted once in
 canonical form.
 
 Writing u = a + b and v = a - b turns the characteristic of (d, a, b)
-into the square-free part of (u^2 - d^2)(d^2 - v^2), so the u- and v-halves
-can be decomposed independently (all prime factors are at most 3*d_max and
-come from a sieve) and candidates for a fixed k are found by table lookup
-instead of scanning all (a, b) pairs.
+into the square-free part of (u^2 - d^2)(d^2 - v^2).  The square-free
+parts of u - d, u + d, d - v and d + v (all at most 3*d_max) come from one
+cached table, so each half is two lookups and a gcd.  The v-halves are
+indexed by the key the characteristic filter needs (kb itself for a fixed
+k, the part of kb prime to the bound for a divisor filter), and each u
+finds its admitted v's with one dict lookup instead of a scan of all
+(a, b) pairs.
 
 The clique stage keeps one integer bitset of neighbours per signed
 candidate.  Mirroring in the base line keeps distances, so each pair of
@@ -34,59 +37,46 @@ cannot reach n - 2.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .arith import merge_squarefree, squarefree_part
+from .arith import squarefree_part
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
 
 # ---------------------------------------------------------------------------
-# smallest-prime-factor sieve, shared by all searches in the process
+# square-free table, shared by all searches in the process
 # ---------------------------------------------------------------------------
 
-_SPF: list[int] = [0, 1]
+_SQF = array("q", [0, 1])
 
 
-def _spf_sieve(limit: int) -> list[int]:
-    """Smallest prime factor for every integer up to ``limit`` (grows a cache)."""
-    global _SPF
-    if limit < len(_SPF):
-        return _SPF
-    spf = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    _SPF = spf
-    return spf
+def _spf_sieve(limit: int) -> array:
+    """Square-free part of every integer up to ``limit``, as ``table[n]``.
+
+    Builds a table of square-free parts, not of smallest prime factors.  The
+    table is a process-wide cache of machine ints, grown in place: the new
+    entries are sieved by every square i*i (the last, largest i that divides
+    n gives n's largest square divisor).
+    """
+    lo = len(_SQF)
+    if limit < lo:
+        return _SQF
+    root = array("q", [1]) * (limit + 1 - lo)  # largest i with i*i | lo + j
+    for i in range(2, math.isqrt(limit) + 1):
+        first = -lo % (i * i)
+        root[first :: i * i] = array("q", [i]) * len(range(first, len(root), i * i))
+    _SQF.extend(n // (r * r) for n, r in zip(range(lo, limit + 1), root))
+    return _SQF
 
 
-def _decompose_sieved(n: int, spf: list[int]) -> tuple[int, int]:
-    """Square-free decomposition (k, s) with n = k*s**2, n within the sieve."""
-    k = s = 1
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e & 1:
-            k *= p
-        s *= p ** (e >> 1)
-    return k, s
-
-
-def _tri_char_sieved(a: int, b: int, c: int, spf: list[int]) -> tuple[int, int]:
-    """(k, s) of the Heron product of a strict triangle, factors sieved."""
-    k, s = _decompose_sieved(a + b + c, spf)
-    for f in (a + b - c, a - b + c, -a + b + c):
-        fk, fs = _decompose_sieved(f, spf)
-        k, s = merge_squarefree(k, s, fk, fs)
-    return k, s
+def _sqf_mul(m: int, n: int) -> int:
+    """Square-free part of m*n for square-free m and n."""
+    g = math.gcd(m, n)
+    return (m // g) * (n // g)
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +206,19 @@ def enumerate_triangles(
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
     filt = char_filter or CharFilter.any_char()
-    spf = _spf_sieve(3 * d_max) if filt.kind != "any" else None
+    sqf = _spf_sieve(3 * d_max) if filt.kind != "any" else None
     for a in range(d_max, 0, -1):
         for b in range(a, 0, -1):
             lo = max(1, a - b + 1)
             for c in range(b, lo - 1, -1):
-                if spf is not None:
-                    k, _ = _tri_char_sieved(a, b, c, spf)
+                if sqf is not None:
+                    k = _sqf_mul(
+                        _sqf_mul(sqf[a + b + c], sqf[a + b - c]),
+                        _sqf_mul(sqf[a - b + c], sqf[b + c - a]),
+                    )
                     if not filt.admits(k):
                         continue
                 yield a, b, c
-
-
-def _squarefree_divisors(n: int) -> list[int]:
-    """All divisors of a square-free ``n``, ascending."""
-    divs = [1]
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            divs += [d * p for d in divs]
-        p += 1
-    if m > 1:
-        divs += [d * m for d in divs]
-    return sorted(divs)
 
 
 def _candidate_groups(
@@ -250,68 +228,57 @@ def _candidate_groups(
 
     Each entry is ``(a, b, X, S)`` in coordinates scaled by 2d: the point is
     ``(X/(2d), (S/(2d))*sqrt(k))`` before sign choice.  ``cap_ab`` bounds the
-    distances a, b to the base points.
+    distances a, b to the base points.  Every bucket is sorted.
 
-    A fixed target characteristic k admits, for each u-part ka, exactly one
-    v-part (the square-free part of ka*k), so fixed and divisor filters are
-    answered by table lookup; a divisor filter expands into one lookup per
-    divisor of its square-free bound.  Only the unrestricted filter scans
-    every v.
+    With u = a + b and v = a - b the characteristic k is the square-free
+    part of ka*kb, where ka is that of u^2 - d^2 and kb that of d^2 - v^2;
+    both are read off the square-free table.  The v's are indexed by the key
+    of kb that the filter needs, so one lookup per u finds every admitted v:
+
+    * a fixed k keys kb itself and looks up the square-free part of ka*k;
+    * a divisor bound B keys the rough part kb // gcd(kb, B).  As ka and kb
+      are square-free, k = ka*kb/gcd(ka, kb)^2 holds the primes of exactly
+      one of them, so k divides B exactly when ka and kb have the same
+      primes outside B, that is, equal rough parts;
+    * no restriction gives every kb the same key.
+
+    S is computed for admitted candidates only, as isqrt of the Heron
+    product (u^2 - d^2)(d^2 - v^2) divided by k.
     """
-    spf = _spf_sieve(max(3 * d, d + 2 * cap_ab))
+    sqf = _spf_sieve(max(3 * d, d + 2 * cap_ab))
     d2 = d * d
-
-    # decompositions of d^2 - v^2 for v in [0, d), split by parity of v
-    by_kb: dict[int, tuple[list[int], list[int]]] = {}
-    v_decomp: list[tuple[int, int]] = []
-    for v in range(d):
-        kv, sv = _decompose_sieved(d - v, spf)
-        kw, sw = _decompose_sieved(d + v, spf)
-        kb, sb = merge_squarefree(kv, sv, kw, sw)
-        v_decomp.append((kb, sb))
-        by_kb.setdefault(kb, ([], []))[v & 1].append(v)
-
-    targets: Optional[list[int]] = None
     if char_filter.kind == "fixed":
-        targets = [char_filter.value]
+        target = char_filter.value
+        v_key, u_key = (lambda kb: kb), (lambda ka: _sqf_mul(ka, target))
     elif char_filter.kind == "divisor":
-        divisors = _squarefree_divisors(char_filter.value)
-        if len(divisors) < d // 2:  # lookups beat scanning all v
-            targets = divisors
+        bound = char_filter.value
+        v_key = u_key = lambda m: m // math.gcd(m, bound)
+    else:
+        v_key = u_key = lambda m: 1
+
+    # v's by key, split by parity (v = a - b has the parity of u = a + b)
+    v_parts = [_sqf_mul(sqf[d - v], sqf[d + v]) for v in range(d)]
+    index: dict[int, tuple[list[int], list[int]]] = {}
+    for v, kb in enumerate(v_parts):
+        index.setdefault(v_key(kb), ([], []))[v & 1].append(v)
 
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
-
     for u in range(d + 1, 2 * cap_ab + 1):
-        ku1, su1 = _decompose_sieved(u - d, spf)
-        ku2, su2 = _decompose_sieved(u + d, spf)
-        ka, sa = merge_squarefree(ku1, su1, ku2, su2)
-        vlim = min(d - 1, u - 2, 2 * cap_ab - u)
-        if vlim < 0:
+        ka = _sqf_mul(sqf[u - d], sqf[u + d])
+        lists = index.get(u_key(ka))
+        if lists is None:
             continue
-
-        def emit(v: int) -> None:
-            kb, sb = v_decomp[v]
-            k, s = merge_squarefree(ka, sa, kb, sb)
-            if not char_filter.admits(k):
-                return
+        vs = lists[u & 1]
+        vlim = min(d - 1, u - 2, 2 * cap_ab - u)
+        hu = u * u - d2
+        for v in vs[: bisect_right(vs, vlim)]:
+            k = _sqf_mul(ka, v_parts[v])
+            s = math.isqrt(hu * (d2 - v * v) // k)
             a, b = (u + v) // 2, (u - v) // 2
             bucket = groups.setdefault(k, [])
             bucket.append((a, b, u * v + d2, s))
             if v:
                 bucket.append((b, a, d2 - u * v, s))
-
-        if targets is not None:
-            for k in targets:
-                g = math.gcd(ka, k)
-                lists = by_kb.get((ka // g) * (k // g))
-                if lists is None:
-                    continue
-                vs = lists[u & 1]
-                for v in vs[: bisect_right(vs, vlim)]:
-                    emit(v)
-        else:
-            for v in range(u & 1, vlim + 1, 2):
-                emit(v)
 
     for bucket in groups.values():
         bucket.sort()

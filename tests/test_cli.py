@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -12,7 +13,12 @@ import pytest
 
 import intpoints
 from intpoints.cli import main
-from intpoints.pointset import DistanceMatrix, EmbeddedPointSet, distances_from_embedding
+from intpoints.pointset import (
+    DistanceMatrix,
+    EmbeddedPointSet,
+    distances_from_embedding,
+    pointset_characteristic,
+)
 
 from .oracles import brute_force_mod_max
 
@@ -188,6 +194,36 @@ class TestSearchCommand:
         assert lines[0] == "8 1"
         assert all(len(line.split()) == 2 for line in lines)
         assert len(lines) == len(set(lines))
+
+
+class TestSearchRecords:
+    @pytest.mark.parametrize("argv", [
+        ("--n", "3", "--dmax", "25"),
+        ("--n", "4", "--dmax", "40"),
+        ("--n", "5", "--dmin", "73", "--dmax", "90"),
+    ])
+    def test_characteristic_of_every_triangle(self, capsys, argv):
+        rc, out, _ = run(capsys, "search", *argv)
+        assert rc == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records
+        for rec in records:
+            assert rec["characteristic"] == pointset_characteristic(DistanceMatrix(rec["matrix"]))
+
+    def test_divisor_bound_of_forty_primes(self, capsys):
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:40]
+        bound = math.prod(primes)
+        proc = subprocess.run(
+            [sys.executable, "-m", "intpoints", "search", "--n", "4", "--dmax", "30",
+             "--char", f"div:{bound}"],
+            capture_output=True, text=True, env=child_env(), timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, out, _ = run(capsys, "search", "--n", "4", "--dmax", "30")
+        assert rc == 0
+        expected = [line for line in out.splitlines() if bound % json.loads(line)["characteristic"] == 0]
+        assert expected
+        assert proc.stdout.splitlines() == expected
 
 
 class TestModsearchCommand:

@@ -1,10 +1,14 @@
+import importlib
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
+from intpoints.arith import squarefree_part
 from intpoints.pointset import DistanceMatrix, pointset_characteristic, verify
 from intpoints.search import (
+    _candidate_groups,
     CharFilter,
     SearchConfig,
     candidate_points,
@@ -17,6 +21,9 @@ from intpoints.search import (
 )
 
 from .oracles import brute_force_point_sets
+
+# the package exports the function `search`, which hides the module's name
+search_module = importlib.import_module("intpoints.search")
 
 
 class TestCharFilter:
@@ -133,6 +140,48 @@ class TestCandidatePoints:
             assert got == expected, (d, k)
 
 
+class TestCandidateIndex:
+    @pytest.mark.parametrize("steps", [(), (10, 15, 99)])
+    def test_squarefree_table(self, monkeypatch, steps):
+        # built at once, or grown in place from a small table; growing past
+        # 15 and 99 starts the new entries at the squares 16 and 100
+        monkeypatch.setattr(search_module, "_SQF", array("q", [0, 1]))
+        expected = [0] + [squarefree_part(n) for n in range(1, 5001)]
+        for limit in (*steps, 5000):
+            assert list(search_module._spf_sieve(limit)) == expected[: limit + 1]
+
+    def test_filters_match_unfiltered_groups(self):
+        # 191 and 1009 are primes above 3*d for every d here
+        bounds = (30, 2002, 6469693230, 30 * 191, 1009)
+        for d in range(1, 61):
+            full = _candidate_groups(d, d, CharFilter.any_char())
+            for bound in bounds:
+                got = _candidate_groups(d, d, CharFilter.divisor_of(bound))
+                assert got == {k: v for k, v in full.items() if bound % k == 0}, (d, bound)
+            for k in (1, 2, 3, 15, 2002, *sorted(full)[:3]):
+                got = _candidate_groups(d, d, CharFilter.fixed(k))
+                assert got == ({k: full[k]} if k in full else {}), (d, k)
+
+    def test_candidate_points_beyond_base(self):
+        # with d_max > d the distances to the base points may exceed d
+        from intpoints.pointset import triangle_characteristic
+
+        for d, k, d_max in ((6, 1, 9), (7, 15, 12), (10, 6, 17), (12, 2, 13)):
+            got = candidate_points(d, k, d_max)
+            expected = {
+                (a, b)
+                for a in range(1, d_max + 1)
+                for b in range(1, d_max + 1)
+                if abs(a - b) < d < a + b and triangle_characteristic(d, a, b) == k
+            }
+            assert {(c.a, c.b) for c in got} == expected, (d, k, d_max)
+            within = {(c.a, c.b, c.x, abs(c.y_coeff)) for c in got if max(c.a, c.b) <= d}
+            groups = _candidate_groups(d, d, CharFilter.any_char()).get(k, [])
+            assert within == {
+                (a, b, Fraction(x, 2 * d), Fraction(s, 2 * d)) for a, b, x, s in groups
+            }
+
+
 class TestIntegralPairCheck:
     def test_heptagon_pairs(self, heptagon1):
         cands = candidate_points(22270, 2002, 22270)
@@ -228,7 +277,7 @@ class TestSearch:
         )
 
     def test_divisor_lookup_path_matches_scan(self):
-        # small bound engages the per-divisor lookup path above d = 2*#divisors
+        # the divisor filter's rough-part lookup against the unfiltered groups
         from intpoints.search import _candidate_groups
 
         for d in (10, 17, 25, 40):
