@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster", action="store_true", help="restrict to characteristic 1")
     p.add_argument("--shard", default=None, help="process only shard i of t, as i/t")
     p.add_argument("--resume", default=None, metavar="CHECKPOINT",
-                   help="checkpoint file of completed 'd k' keys; skipped on re-run, appended as keys finish")
+                   help="checkpoint file: a header with --n, then completed 'd k' keys; "
+                        "skipped on re-run, appended as keys finish")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("modsearch", help="maximum general-position set over Z_n^2")

@@ -20,11 +20,17 @@ finds its admitted v's with one dict lookup instead of a scan of all
 (a, b) pairs.
 
 The clique stage keeps one integer bitset of neighbours per signed
-candidate.  Mirroring in the base line keeps distances, so each pair of
-raw candidates is tested twice, once with equal and once with opposite
-signs of y, for all four of its signed pairs.  With general position
-required, an edge is dropped when its two points are collinear with a base
-point or concyclic with both, so the clique search tests only triples and
+candidate.  Mirroring in the base line keeps distances, so the two signs
+of a raw candidate form one class, and a pair of classes is tested once
+with equal and once with opposite signs of y, for all four of its signed
+pairs.  Reflecting in the perpendicular bisector of the base maps class
+(a, b) to (b, a); it swaps the base points and keeps distances and signs,
+so only one pair of each orbit under it is tested and an edge found there
+joins the reflected pair too, which halves the tests.  An edge of length t
+has squared scaled length (2d*t)^2, so a divisibility test by 4d^2 screens
+the pairs before the exact square root.  With general position required,
+an edge is dropped when its two points are collinear with a base point or
+concyclic with both, so the clique search tests only triples and
 quadruples of chosen points.  k-core pruning removes vertices with fewer
 than n - 3 live neighbours.  The search then takes candidates lowest index
 first; after each new vertex it keeps the candidates among its neighbours
@@ -39,10 +45,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, combinations
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from .arith import squarefree_part
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
@@ -334,13 +341,15 @@ def _clique_stream(
     distances are capped at min(d, config.d_max): the base edge must stay
     the diameter, so any longer pair belongs to a different base.
 
-    A vertex's mirror partner (Y negated) is found by lookup and may be
+    A vertex's mirror partner (Y negated) and its reflection in the
+    perpendicular bisector of the base are found by lookup and may be
     absent.  Cliques come out in the order of an ascending index scan; the
     module docstring describes the stages.
     """
     need = config.target_n - 2
     cap = min(d, config.d_max)
     two_d = 2 * d
+    edge_unit = two_d * two_d
     x2 = 2 * d * d
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     nv = len(verts)
@@ -367,7 +376,29 @@ def _clique_stream(
     # square, so then a clique holds at most one vertex of each class.
     if (nv if math.isqrt(k) ** 2 == k else len(mirrors)) < need:
         return
-    classes = [(x, y, k * y * y, members) for (_, _, x, y), members in mirrors.items()]
+
+    # The reflection R in the perpendicular bisector of the base maps class
+    # (a, b, X, |Y|) to (b, a, x2 - X, |Y|): it swaps the base points and
+    # keeps y signs and distances, so two classes are joined exactly when
+    # their images are.  `join` picks the member pairs by their signs, so an
+    # image whose members have other signs than its partner's is paired all
+    # the same.  `seq` holds each class next to its image, then the classes
+    # that R fixes, then those whose image is absent (only extend_cliques
+    # input has them).  An entry is (X, |Y|, k*Y^2, members, the image's
+    # members or None).
+    pairs, fixed, unpaired = [], [], []
+    for key, members in mirrors.items():
+        a, b, x, y = key
+        image_key = (b, a, x2 - x, y)
+        image = mirrors.get(image_key)
+        entry = (x, y, k * y * y, members, image)
+        if image_key == key:
+            fixed.append(entry)
+        elif image is None:
+            unpaired.append(entry)
+        elif key < image_key:
+            pairs += [entry, (x2 - x, y, k * y * y, image, members)]
+    seq = pairs + fixed + unpaired
 
     adj = [0] * nv
     dist: dict[tuple[int, int], int] = {}
@@ -380,28 +411,43 @@ def _clique_stream(
                     adj[j] |= 1 << i
                     dist[min(i, j), max(i, j)] = t
 
-    for ci, (x, y, ky, members) in enumerate(classes):
-        p = (x * x + ky, x, y)
-        # q on one of these is collinear with a base point and p, or
-        # concyclic with both base points and p
-        base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
-        # Squared scaled distances from this class to itself and to every
-        # later class, with equal and with opposite signs of y (a class and
-        # itself with opposite signs: the mirror pair).  Only nonzero
-        # perfect squares go on to edge_length.
-        later = classes[ci:]
+    # One row per R orbit of classes: the first class of each pair, each
+    # fixed and each unpaired class.  A row tests the classes after it in
+    # `seq`, so each orbit of class pairs is tested once, and an edge
+    # between two classes with images also joins the images.  An unpaired
+    # class has no image to stand for it, so its row also tests the second
+    # class of every pair.
+    for ci in chain(range(0, len(pairs), 2), range(len(pairs), len(seq))):
+        x, y, ky, members, image = seq[ci]
+        later = seq[ci:]
+        if ci >= len(pairs) + len(fixed):
+            later += pairs[1::2]
+        mirror = image if ci < len(pairs) else None
+        # Squared scaled distances from this class to every class in
+        # `later`, with equal and with opposite signs of y (a class and
+        # itself with opposite signs: the mirror pair).  An edge of length
+        # t has n2 = (2d*t)^2, so only nonzero multiples of 4d^2 go on to
+        # edge_length.
         two_ky = 2 * k * y
-        sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _ in later]
-        cross = [two_ky * yq for _, yq, _, _ in later]
+        sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _, _ in later]
+        cross = [two_ky * yq for _, yq, _, _, _ in later]
+        base_tests = None
         for same_sign, n2s in (
             (True, [s - c for s, c in zip(sums, cross)]),
             (False, [s + c for s, c in zip(sums, cross)]),
         ):
-            for j in [j for j, n2 in enumerate(n2s) if n2 and math.isqrt(n2) ** 2 == n2]:
-                xq, yq, _, others = later[j]
+            for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0 and n2]:
+                if base_tests is None:
+                    # q on one of these is collinear with a base point and
+                    # p, or concyclic with both base points and p
+                    p = (x * x + ky, x, y)
+                    base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
+                xq, yq, _, others, others_image = later[j]
                 t = edge_length(n2s[j], base_tests, xq, yq if same_sign else -yq)
                 if t:
                     join(members, others, same_sign, t)
+                    if mirror is not None and others_image is not None:
+                        join(mirror, others_image, same_sign, t)
 
     lifts = [(x * x + k * y * y, x, y) for _, _, x, y in verts]
 
@@ -516,26 +562,54 @@ def extend_cliques(
 
 
 class CheckpointError(Exception):
-    """A checkpoint file that cannot be opened, read or parsed."""
+    """A checkpoint file that cannot be opened, read or parsed, or that was
+    written by a search with other settings."""
 
 
-def _load_checkpoint(path) -> set[tuple[int, int]]:
-    """Completed (d, k) keys of a checkpoint file, created empty when missing.
+_CHECKPOINT_HEADER = "# intpoints checkpoint "
 
+
+def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], BinaryIO]:
+    """Completed (d, k) keys of a checkpoint file, and the file open to append.
+
+    The first line is a header with the settings of the search that wrote
+    the file; a missing or empty file is created with the header of
+    ``config``, and any other header, or none, raises ``CheckpointError``.
     A key counts only once its line ends in a newline.  An unterminated
     last line is a write cut short: it is cut off the file, so that its key
     runs again and the next append starts a line of its own.
     """
-    done = set()
-    try:
-        with open(path, "a+b") as fh:
+    # A key's records depend on these settings alone: the characteristic
+    # filter, cluster mode and shard only choose keys, so a resume may
+    # change them.
+    general = "on" if config.require_general_position else "off"
+    settings = f"n={config.target_n} general_position={general}"
+    with ExitStack() as stack:
+        try:
+            fh = stack.enter_context(open(path, "a+b"))
             fh.seek(0)
             data = fh.read()
             complete = data.rfind(b"\n") + 1
-            for number, line in enumerate(data[:complete].splitlines(), 1):
-                if not line.strip():
-                    continue
-                text = line.decode("ascii", "replace")
+            lines = [
+                (number, text)
+                for number, line in enumerate(data[:complete].splitlines(), 1)
+                if (text := line.decode("ascii", "replace").strip())
+            ]
+            if lines:
+                number, first = lines[0]
+                found = first.removeprefix(_CHECKPOINT_HEADER)
+                if found == first:
+                    raise CheckpointError(
+                        f"checkpoint {path} has no header, so the settings it was written "
+                        f"with are unknown (this search: {settings}); line {number} is {first!r}"
+                    )
+                if found != settings:
+                    raise CheckpointError(
+                        f"checkpoint {path} was written by a search with {found}, "
+                        f"this search has {settings}"
+                    )
+            done = set()
+            for number, text in lines[1:]:
                 try:
                     d, k = map(int, text.split())
                 except ValueError:
@@ -543,11 +617,16 @@ def _load_checkpoint(path) -> set[tuple[int, int]]:
                         f"checkpoint {path}, line {number}: expected 'd k', got {text!r}"
                     ) from None
                 done.add((d, k))
-            if complete < len(data):
+            if lines:
                 fh.truncate(complete)
-    except OSError as exc:
-        raise CheckpointError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc
-    return done
+            else:
+                fh.truncate(0)
+                fh.write(f"{_CHECKPOINT_HEADER}{settings}\n".encode())
+                fh.flush()
+        except OSError as exc:
+            raise CheckpointError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc
+        stack.pop_all()
+    return done, fh
 
 
 def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[DistanceMatrix]:
@@ -558,25 +637,27 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
     set is found at exactly one (d, k) key.  With ``checkpoint`` given,
     completed keys are appended to that file and previously completed keys
     are skipped (their results are assumed already consumed); a checkpoint
-    that cannot be opened or parsed raises ``CheckpointError`` first.
+    that cannot be opened or parsed, or that was written with another size
+    or general-position setting, raises ``CheckpointError`` first.
     """
     filt = config.effective_filter()
     shard_index, shard_total = config.shard
-    done = _load_checkpoint(checkpoint) if checkpoint else set()
-    counter = 0
-    for d in range(config.d_min, config.d_max + 1):
-        groups = _candidate_groups(d, d, filt)
-        for k in sorted(groups):
-            key_index = counter
-            counter += 1
-            if key_index % shard_total != shard_index:
-                continue
-            if (d, k) in done:
-                continue
-            yield from _clique_stream(d, k, _signed(groups[k]), config)
-            if checkpoint:
-                with open(checkpoint, "a") as fh:
-                    fh.write(f"{d} {k}\n")
+    done, log = _open_checkpoint(checkpoint, config) if checkpoint else (set(), None)
+    with log or nullcontext():
+        counter = 0
+        for d in range(config.d_min, config.d_max + 1):
+            groups = _candidate_groups(d, d, filt)
+            for k in sorted(groups):
+                key_index = counter
+                counter += 1
+                if key_index % shard_total != shard_index:
+                    continue
+                if (d, k) in done:
+                    continue
+                yield from _clique_stream(d, k, _signed(groups[k]), config)
+                if log is not None:
+                    log.write(b"%d %d\n" % (d, k))
+                    log.flush()
 
 
 def minimum_diameter(

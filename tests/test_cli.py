@@ -23,6 +23,9 @@ from intpoints.pointset import (
 from .oracles import brute_force_mod_max
 
 
+HEADER_N4 = "# intpoints checkpoint n=4 general_position=on"
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -175,25 +178,62 @@ class TestSearchCommand:
 
     def test_resume_malformed_checkpoint_exits_2(self, capsys, tmp_path):
         ck = tmp_path / "ck"
-        ck.write_text("8 1\n8 x\n")
+        ck.write_text(f"{HEADER_N4}\n8 1\n8 x\n")
         rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(ck))
         assert rc == 2
         assert not out
-        assert "line 2" in err
+        assert "line 3" in err
 
     def test_resume_ignores_unterminated_last_line(self, capsys, tmp_path):
         # key (8, 1) holds the only 4-set at d = 8; a torn line must not mark it done
         ck = tmp_path / "ck"
-        ck.write_text("8 1")
+        ck.write_text(f"{HEADER_N4}\n8 1")
         rc, out, _ = run(
             capsys, "search", "--n", "4", "--dmin", "8", "--dmax", "8", "--resume", str(ck)
         )
         assert rc == 0
         assert len(out.strip().splitlines()) == 1
-        lines = ck.read_text().splitlines()
+        header, *lines = ck.read_text().splitlines()
+        assert header == HEADER_N4
         assert lines[0] == "8 1"
         assert all(len(line.split()) == 2 for line in lines)
         assert len(lines) == len(set(lines))
+
+    def test_resume_with_other_size_exits_2(self, capsys, tmp_path):
+        # the keys a 4-point search finished say nothing about 3-point sets
+        ck = tmp_path / "ck"
+        rc, out, _ = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(ck))
+        assert rc == 0 and out
+        before = ck.read_text()
+        assert before.startswith(HEADER_N4 + "\n")
+        rc, out, err = run(capsys, "search", "--n", "3", "--dmax", "8", "--resume", str(ck))
+        assert rc == 2
+        assert not out
+        assert "n=4 general_position=on" in err
+        assert "n=3 general_position=on" in err
+        assert ck.read_text() == before
+
+    def test_resume_without_header_exits_2(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        ck.write_text("8 1\n")
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(ck))
+        assert rc == 2
+        assert not out
+        assert "no header" in err
+        assert "n=4 general_position=on" in err
+        assert ck.read_text() == "8 1\n"
+
+    def test_resume_with_other_char_filter(self, capsys, tmp_path):
+        # --char only chooses keys: a resume under another filter runs the rest
+        ck = tmp_path / "ck"
+        _, fresh, _ = run(capsys, "search", "--n", "4", "--dmax", "30")
+        rc, first, _ = run(
+            capsys, "search", "--n", "4", "--dmax", "30", "--char", "15", "--resume", str(ck)
+        )
+        assert rc == 0 and first
+        rc, rest, _ = run(capsys, "search", "--n", "4", "--dmax", "30", "--resume", str(ck))
+        assert rc == 0 and rest
+        assert sorted((first + rest).splitlines()) == sorted(fresh.splitlines())
 
 
 class TestSearchRecords:
@@ -267,6 +307,10 @@ class TestDeterminism:
              "7b2599270f10c786b8cee1530f68d1c08a4d18af19c77dad282a28172148e0c1"),
             (("--n", "7", "--char", "2002", "--dmin", "22270", "--dmax", "22270"),
              "9612f2882350e8207ea9fb6d498e8ef1ab1fe6c9b605b8b00c7932d14a1e3bb5"),
+            # n = 6 takes the DFS through its line and circle tests, the
+            # circles through two earlier chosen points included
+            (("--n", "6", "--dmin", "170", "--dmax", "176"),
+             "a2ab6719e369655aa894045ccec3240e56d00d7c779adf8e5b2d1422d10c1c9a"),
         ):
             rc, out, _ = run(capsys, "search", *argv)
             assert rc == 0

@@ -2,14 +2,16 @@ import importlib
 import random
 from array import array
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from intpoints.arith import squarefree_part
-from intpoints.pointset import DistanceMatrix, pointset_characteristic, verify
+from intpoints.pointset import DistanceMatrix, canonical_form, pointset_characteristic, verify
 from intpoints.search import (
     _candidate_groups,
     CharFilter,
+    CheckpointError,
     SearchConfig,
     candidate_points,
     enumerate_triangles,
@@ -242,6 +244,104 @@ class TestExtendCliques:
                 assert m.rows in full
 
 
+def brute_force_cliques(cands, d, n, general):
+    """Canonical rows of every set of the base points and n - 2 of ``cands``
+    at pairwise integral distances at most d (in general position when
+    ``general``), by enumerating all subsets."""
+    dist = {}
+    for i, j in combinations(range(len(cands)), 2):
+        t = integral_pair_check(cands[i], cands[j])
+        if t and t <= d:
+            dist[i, j] = t
+    found = set()
+    for chosen in combinations(range(len(cands)), n - 2):
+        if not all(pair in dist for pair in combinations(chosen, 2)):
+            continue
+        rows = [[0] * n for _ in range(n)]
+        rows[0][1] = rows[1][0] = d
+        for ci, i in enumerate(chosen):
+            rows[0][ci + 2] = rows[ci + 2][0] = cands[i].a
+            rows[1][ci + 2] = rows[ci + 2][1] = cands[i].b
+        for (ci, i), (cj, j) in combinations(enumerate(chosen), 2):
+            rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = dist[i, j]
+        m, _ = canonical_form(DistanceMatrix(rows))
+        if not general or verify(m).passed:
+            found.add(m.rows)
+    return found
+
+
+def assert_matches_brute_force(cands, d, k):
+    found = 0
+    for n in (4, 5):
+        for general in (True, False):
+            cfg = SearchConfig(n, d, d, CharFilter.fixed(k), require_general_position=general)
+            out = [m.rows for m in extend_cliques(cands, d, cfg)]
+            assert len(out) == len(set(out))
+            assert set(out) == brute_force_cliques(cands, d, n, general), (d, k, n, general)
+            found += len(out)
+    assert found
+
+
+class TestReflectedEdgeBuild:
+    """The edge build tests one class pair of each orbit under the reflection
+    (a, b) <-> (b, a) in the perpendicular bisector of the base, and joins
+    the images when both classes have one.  extend_cliques input need not be
+    closed under that reflection."""
+
+    @pytest.mark.parametrize(
+        "d, k, seed", [(100, 1, 0), (65, 1, 1), (105, 1, 2), (120, 1, 3), (16, 15, 4)]
+    )
+    def test_subsets_not_closed_under_reflection(self, d, k, seed):
+        rng = random.Random(seed)
+        cands = candidate_points(d, k, d)
+        by_class = {}
+        for c in cands:
+            by_class.setdefault((c.a, c.b), []).append(c)
+        subset, unpaired, opposite = [], 0, 0
+        for (a, b), members in by_class.items():
+            if a == b:
+                subset += members
+                continue
+            if a > b:
+                continue
+            image = by_class[b, a]
+            roll = rng.random()
+            if roll < 0.3:  # the image is absent
+                subset += members
+                unpaired += 1
+            elif roll < 0.6:  # the image is present with the other sign only
+                up = [c for c in members if c.sign == 1]
+                down = [c for c in image if c.sign == -1]
+                subset += up + down
+                opposite += 1
+            else:
+                subset += members + image
+        assert unpaired and opposite
+        rng.shuffle(subset)
+        assert_matches_brute_force(subset, d, k)
+
+    def test_square_k_mirror_partners_adjacent(self):
+        # at d = 48 and k = 1 the two mirror partners of each of the classes
+        # (25, 25), (26, 26), (30, 30), (29, 35) and (35, 29) are an
+        # integral distance 2|y| <= d apart: an edge within one class
+        d = 48
+        cands = candidate_points(d, 1, d)
+        assert_matches_brute_force(cands, d, 1)
+        relaxed = SearchConfig(4, d, d, CharFilter.fixed(1), require_general_position=False)
+        adjacent = set()
+        for c in cands:
+            chord = 2 * c.y_coeff
+            if c.sign == 1 and chord.denominator == 1 and chord <= d:
+                t = int(chord)
+                rows = ((0, d, c.a, c.a), (d, 0, c.b, c.b), (c.a, c.b, 0, t), (c.a, c.b, t, 0))
+                mirror_set = canonical_form(DistanceMatrix(rows))[0]
+                # the class with its image, or alone when it is its own image
+                group = [e for e in cands if {e.a, e.b} == {c.a, c.b}]
+                assert mirror_set in list(extend_cliques(group, d, relaxed))
+                adjacent.add((c.a, c.b))
+        assert {(25, 25), (26, 26), (30, 30), (29, 35), (35, 29)} <= adjacent
+
+
 class TestSearch:
     def test_unit_triangle(self):
         out = list(search(SearchConfig(3, 1, 1)))
@@ -304,12 +404,42 @@ class TestSearch:
         cfg = SearchConfig(4, 1, 15)
         first = list(search(cfg, checkpoint=str(ck)))
         assert ck.exists()
-        keys = {tuple(map(int, line.split())) for line in ck.read_text().splitlines()}
+        header, *lines = ck.read_text().splitlines()
+        assert header == "# intpoints checkpoint n=4 general_position=on"
+        keys = {tuple(map(int, line.split())) for line in lines}
         assert all(d <= 15 for d, _ in keys)
         # every key done: nothing re-emitted
         assert list(search(cfg, checkpoint=str(ck))) == []
         # a fresh run still reproduces the original results
         assert {m.rows for m in search(cfg)} == {m.rows for m in first}
+
+    def test_checkpoint_bound_to_general_position(self, tmp_path):
+        ck = tmp_path / "ck.txt"
+        relaxed = SearchConfig(4, 5, 5, require_general_position=False)
+        assert list(search(relaxed, checkpoint=str(ck)))
+        with pytest.raises(CheckpointError, match="general_position=off.*general_position=on"):
+            list(search(SearchConfig(4, 5, 5), checkpoint=str(ck)))
+
+    def test_checkpoint_torn_header_written_again(self, tmp_path):
+        ck = tmp_path / "ck.txt"
+        ck.write_text("# intpoints checkpoint n=4 gen")
+        assert len(list(search(SearchConfig(4, 1, 8), checkpoint=str(ck)))) == 1
+        header, *lines = ck.read_text().splitlines()
+        assert header == "# intpoints checkpoint n=4 general_position=on"
+        assert lines and all(len(line.split()) == 2 for line in lines)
+
+    def test_checkpoint_opened_once(self, tmp_path, monkeypatch):
+        ck = tmp_path / "ck.txt"
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(search_module, "open", counting_open, raising=False)
+        list(search(SearchConfig(4, 1, 15), checkpoint=str(ck)))
+        assert opened == [str(ck)]
+        assert len(ck.read_text().splitlines()) > 2
 
     def test_rectangle_needs_general_position_off(self):
         # the 3-4-5 rectangle: four concyclic points with integral distances
