@@ -44,7 +44,6 @@ from .search import (
     extend_cliques,
     integral_pair_check,
     minimum_diameter,
-    partition,
     search,
 )
 
@@ -81,7 +80,6 @@ __all__ = [
     "extend_cliques",
     "integral_pair_check",
     "minimum_diameter",
-    "partition",
     "search",
 ]
 

@@ -26,10 +26,6 @@ def integer_sqrt(n: int) -> tuple[int, bool]:
     return r, r * r == n
 
 
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
-
-
 def rational_perfect_square(q: Fraction) -> tuple[Fraction, bool]:
     """Exact square root of a non-negative rational, if one exists.
 
@@ -130,22 +126,20 @@ def factorize(n: int) -> dict[int, int]:
     if n == 1:
         return factors
 
-    def split(m: int) -> None:
+    rest = [n]  # cofactors still to split, the next one last
+    while rest:
+        m = rest.pop()
         if m == 1:
-            return
+            continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
-            return
+            continue
         r, exact = integer_sqrt(m)
         if exact:
-            split(r)
-            split(r)
-            return
+            rest += [r, r]
+            continue
         d = _pollard_rho(m)
-        split(d)
-        split(m // d)
-
-    split(n)
+        rest += [m // d, d]
     return factors
 
 

@@ -147,10 +147,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_modsearch(args) -> int:
-    if args.modulus < 2:
-        print(f"error: modulus must be >= 2, got {args.modulus}", file=sys.stderr)
+    try:
+        result = mod_max_general_position(args.modulus, node_budget=args.budget)
+    except ValueError as exc:  # a modulus below 2 or a negative budget
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = mod_max_general_position(args.modulus, node_budget=args.budget)
     bound = "=" if result.exact else ">="
     print(f"max_general_position(modulus={args.modulus}) {bound} {result.size}")
     if not result.exact:

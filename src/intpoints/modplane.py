@@ -159,8 +159,11 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     incremental line and circle constraints.  All predicates are
     translation invariant, so the first point is fixed at (0,0).  When
     ``node_budget`` search nodes are exhausted the best set found so far
-    is returned flagged as a lower bound (``exact=False``).
+    is returned flagged as a lower bound (``exact=False``); a negative
+    budget raises ``ValueError``.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     ctx = ModContext(n)
     total = n * n
     pts = [(u, v) for u in range(n) for v in range(n)]  # index = u*n + v

@@ -237,40 +237,42 @@ def canonical_form(m: DistanceMatrix) -> tuple[DistanceMatrix, tuple[int, ...]]:
     Branch-and-bound over partial labelings: all branches at one node
     share the vector prefix, so a candidate whose next column is not
     maximal among the remaining points cannot lead to the maximal vector
-    and is pruned.  Ties branch; leaves compare full vectors.
+    and is pruned.  Ties branch; leaves compare full vectors.  The
+    branches run depth first on an explicit stack: ``stack[i]`` holds the
+    column every tie at depth i adds and the ties not yet taken (the next
+    one last), and ``prefix`` holds one column per chosen point (every
+    full vector has the same column lengths, so comparing columns compares
+    the flat vectors).
     """
     n = m.n
     if n == 1:
         return m, (0,)
     rows = m.rows
 
-    best_vec: list[int] = []
+    best_vec: list[list[int]] = []
     best_perm: list[int] = []
-
     chosen: list[int] = []
-    prefix: list[int] = []
-
-    def extend() -> None:
-        nonlocal best_vec, best_perm
+    prefix: list[list[int]] = []
+    stack = [([], list(range(n - 1, -1, -1)))]
+    while stack:
+        depth = len(stack) - 1
+        top, ties = stack[-1]
+        if not ties:
+            stack.pop()
+            continue
+        del chosen[depth:], prefix[depth:]
+        chosen.append(ties.pop())
+        prefix.append(top)
         if len(chosen) == n:
             if not best_vec or prefix > best_vec or (prefix == best_vec and chosen < best_perm):
                 best_vec = list(prefix)
                 best_perm = list(chosen)
-            return
-        pos = len(prefix)
+            continue
         remaining = [p for p in range(n) if p not in chosen]
         cols = {p: [rows[q][p] for q in chosen] for p in remaining}
         top = max(cols.values())
-        for p in remaining:
-            if cols[p] != top:
-                continue
-            chosen.append(p)
-            prefix.extend(top)
-            extend()
-            chosen.pop()
-            del prefix[pos:]
+        stack.append((top, [p for p in reversed(remaining) if cols[p] == top]))
 
-    extend()
     perm = tuple(best_perm)
     return m.permuted(perm), perm
 

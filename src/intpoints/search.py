@@ -32,12 +32,13 @@ the pairs before the exact square root.  With general position required,
 an edge is dropped when its two points are collinear with a base point or
 concyclic with both, so the clique search tests only triples and
 quadruples of chosen points.  k-core pruning removes vertices with fewer
-than n - 3 live neighbours.  The search then takes candidates lowest index
-first; after each new vertex it keeps the candidates among its neighbours
-(a bitset intersection) that lie on no line through it and an earlier
-chosen point and on no circle through it and two earlier chosen or base
-points, and it stops a branch once the chosen and remaining vertices
-cannot reach n - 2.
+than n - 3 live neighbours.  The depth-first search then runs on an
+explicit stack of candidate bitsets, one per depth, and takes candidates
+lowest index first; after each new vertex it keeps the candidates among
+its neighbours (a bitset intersection) that lie on no line through it and
+an earlier chosen point and on no circle through it and two earlier chosen
+or base points, and it drops a level once the chosen and remaining
+vertices cannot reach n - 2.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 from array import array
 from bisect import bisect_right
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
@@ -343,8 +344,12 @@ def _clique_stream(
 
     A vertex's mirror partner (Y negated) and its reflection in the
     perpendicular bisector of the base are found by lookup and may be
-    absent.  Cliques come out in the order of an ascending index scan; the
-    module docstring describes the stages.
+    absent.  The depth-first search runs on an explicit stack of candidate
+    bitsets, lowest index first, so cliques come out in the order of an
+    ascending index scan.  The body is one generator with no nested
+    function: it holds no reference cycle, and a finished or closed stream
+    leaves nothing for the cyclic collector.  The module docstring
+    describes the stages.
     """
     need = config.target_n - 2
     cap = min(d, config.d_max)
@@ -354,20 +359,6 @@ def _clique_stream(
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     nv = len(verts)
     general = config.require_general_position
-
-    def edge_length(n2: int, base_tests, xq: int, yq: int) -> int:
-        """Distance from p to q = (xq, yq) at squared scaled distance ``n2``,
-        or 0 when it is not integral, too long, or q meets one of p's
-        ``base_tests``."""
-        r = math.isqrt(n2)
-        if r * r != n2 or r % two_d:
-            return 0
-        t = r // two_d
-        if not 1 <= t <= cap:
-            return 0
-        if general and not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
-            return 0
-        return t
 
     mirrors: dict[tuple[int, int, int, int], list[tuple[int, bool]]] = {}
     for v, (a, b, x, y) in enumerate(verts):
@@ -403,14 +394,6 @@ def _clique_stream(
     adj = [0] * nv
     dist: dict[tuple[int, int], int] = {}
 
-    def join(ps, qs, same_sign: bool, t: int) -> None:
-        for i, up_i in ps:
-            for j, up_j in qs:
-                if (up_i == up_j) == same_sign and i != j:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    dist[min(i, j), max(i, j)] = t
-
     # One row per R orbit of classes: the first class of each pair, each
     # fixed and each unpaired class.  A row tests the classes after it in
     # `seq`, so each orbit of class pairs is tested once, and an edge
@@ -427,7 +410,7 @@ def _clique_stream(
         # `later`, with equal and with opposite signs of y (a class and
         # itself with opposite signs: the mirror pair).  An edge of length
         # t has n2 = (2d*t)^2, so only nonzero multiples of 4d^2 go on to
-        # edge_length.
+        # the exact root.
         two_ky = 2 * k * y
         sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _, _ in later]
         cross = [two_ky * yq for _, yq, _, _, _ in later]
@@ -437,17 +420,31 @@ def _clique_stream(
             (False, [s + c for s, c in zip(sums, cross)]),
         ):
             for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0 and n2]:
-                if base_tests is None:
-                    # q on one of these is collinear with a base point and
-                    # p, or concyclic with both base points and p
-                    p = (x * x + ky, x, y)
-                    base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
+                r = math.isqrt(n2s[j])
+                t = r // two_d
+                if r * r != n2s[j] or r % two_d or t > cap:
+                    continue
                 xq, yq, _, others, others_image = later[j]
-                t = edge_length(n2s[j], base_tests, xq, yq if same_sign else -yq)
-                if t:
-                    join(members, others, same_sign, t)
-                    if mirror is not None and others_image is not None:
-                        join(mirror, others_image, same_sign, t)
+                if general:
+                    if base_tests is None:
+                        # q on one of these is collinear with a base point
+                        # and p, or concyclic with both base points and p
+                        p = (x * x + ky, x, y)
+                        base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
+                    yq = yq if same_sign else -yq
+                    if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
+                        continue
+                # the edge joins the member pairs with the sign relation
+                # tested, in this class pair and in its image
+                for ps, qs in ((members, others), (mirror, others_image)):
+                    if ps is None or qs is None:
+                        continue
+                    for vp, up_p in ps:
+                        for vq, up_q in qs:
+                            if (up_p == up_q) == same_sign and vp != vq:
+                                adj[vp] |= 1 << vq
+                                adj[vq] |= 1 << vp
+                                dist[min(vp, vq), max(vp, vq)] = t
 
     lifts = [(x * x + k * y * y, x, y) for _, _, x, y in verts]
 
@@ -463,62 +460,60 @@ def _clique_stream(
                 alive ^= 1 << v
                 shrinking = True
 
+    # Depth-first over an explicit stack: stack[i] holds the candidates
+    # left at depth i, where chosen[:i] is fixed, and its lowest bit is
+    # taken next.  A level is dropped once its chosen and remaining
+    # vertices cannot reach `need`.
     seen: set[tuple[tuple[int, ...], ...]] = set()
     chosen: list[int] = []
-
-    def emit() -> Optional[DistanceMatrix]:
-        n = config.target_n
-        rows = [[0] * n for _ in range(n)]
-        rows[0][1] = rows[1][0] = d
-        for ci, vi in enumerate(chosen):
-            a, b, _, _ = verts[vi]
-            rows[0][ci + 2] = rows[ci + 2][0] = a
-            rows[1][ci + 2] = rows[ci + 2][1] = b
-        for ci, vi in enumerate(chosen):
-            for cj in range(ci + 1, len(chosen)):
-                t = dist[(vi, chosen[cj])]
-                rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = t
-        canon, _ = canonical_form(DistanceMatrix(rows))
-        if canon.rows in seen:
-            return None
-        seen.add(canon.rows)
-        return canon
-
-    def narrow(cands: int) -> int:
-        """The candidates in general position with all chosen vertices.
-
-        ``cands`` already passed every test without the last chosen vertex.
-        """
-        *earlier, v = chosen
-        if not general or not earlier:
-            return cands
-        p = lifts[v]
-        tests = [_line(lifts[c], p) for c in earlier]
-        tests += [_circle(base, lifts[c], p) for base in (base1, base2) for c in earlier]
-        tests += [_circle(lifts[c], lifts[e], p) for c, e in combinations(earlier, 2)]
-        kept = 0
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            if _avoids(tests, lifts[low.bit_length() - 1]):
-                kept |= low
-        return kept
-
-    def dfs(cands: int) -> Iterator[DistanceMatrix]:
-        while len(chosen) + cands.bit_count() >= need:
-            low = cands & -cands
-            cands ^= low
-            v = low.bit_length() - 1
-            chosen.append(v)
-            if len(chosen) == need:
-                out = emit()
-                if out is not None:
-                    yield out
-            else:
-                yield from dfs(narrow(cands & adj[v]))
+    stack = [alive]
+    while stack:
+        cands = stack[-1]
+        if len(chosen) + cands.bit_count() < need:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = cands & -cands
+        stack[-1] = cands ^ low
+        v = low.bit_length() - 1
+        chosen.append(v)
+        if len(chosen) == need:
+            n = config.target_n
+            rows = [[0] * n for _ in range(n)]
+            rows[0][1] = rows[1][0] = d
+            for ci, vi in enumerate(chosen):
+                a, b, _, _ = verts[vi]
+                rows[0][ci + 2] = rows[ci + 2][0] = a
+                rows[1][ci + 2] = rows[ci + 2][1] = b
+                for cj in range(ci + 1, need):
+                    t = dist[(vi, chosen[cj])]
+                    rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = t
             chosen.pop()
-
-    yield from dfs(alive)
+            canon, _ = canonical_form(DistanceMatrix(rows))
+            if canon.rows not in seen:
+                seen.add(canon.rows)
+                yield canon
+            continue
+        # The candidates left below v passed every test without v; keep
+        # its neighbours that lie on no line through v and an earlier
+        # chosen point and on no circle through v and two earlier chosen
+        # or base points.
+        cands = stack[-1] & adj[v]
+        if general and len(chosen) > 1:
+            earlier = chosen[:-1]
+            p = lifts[v]
+            tests = [_line(lifts[c], p) for c in earlier]
+            tests += [_circle(base, lifts[c], p) for base in (base1, base2) for c in earlier]
+            tests += [_circle(lifts[c], lifts[e], p) for c, e in combinations(earlier, 2)]
+            kept = 0
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                if _avoids(tests, lifts[low.bit_length() - 1]):
+                    kept |= low
+            cands = kept
+        stack.append(cands)
 
 
 def _signed(raw: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
@@ -671,9 +666,3 @@ def minimum_diameter(
             return d
     return None
 
-
-def partition(config: SearchConfig, total_shards: int) -> list[SearchConfig]:
-    """Split a search into independent shards over the (d, k) outer loop."""
-    if total_shards < 1:
-        raise ValueError(f"total_shards must be >= 1, got {total_shards}")
-    return [replace(config, shard=(i, total_shards)) for i in range(total_shards)]

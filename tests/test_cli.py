@@ -19,6 +19,7 @@ from intpoints.pointset import (
     distances_from_embedding,
     pointset_characteristic,
 )
+from intpoints.search import SearchConfig, search
 
 from .oracles import brute_force_mod_max
 
@@ -293,6 +294,12 @@ class TestModsearchCommand:
         assert ">=" in out.splitlines()[0]
         assert "lower bound" in err
 
+    def test_negative_budget_exits_2(self, capsys):
+        rc, out, err = run(capsys, "modsearch", "--modulus", "5", "--budget", "-1")
+        assert rc == 2
+        assert out == ""
+        assert "budget" in err
+
 
 class TestDeterminism:
     def test_search_output_stable(self, capsys):
@@ -315,6 +322,14 @@ class TestDeterminism:
             rc, out, _ = run(capsys, "search", *argv)
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_search_rows_pinned_general_position_off(self):
+        # the CLI always requires general position; with it off the DFS
+        # keeps every candidate among the neighbours of a chosen vertex
+        rows = [m.rows for m in search(SearchConfig(6, 1, 60, require_general_position=False))]
+        assert len(rows) == 1118
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == "b7e62636337da24c1eb92ef9b34d6c582c534618b499444c4470b6f3fd6cdc23"
 
     def test_verify_output_stable(self, capsys, heptagon1_file):
         _, first, _ = run(capsys, "verify", str(heptagon1_file))

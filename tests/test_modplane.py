@@ -192,5 +192,9 @@ class TestMaxGeneralPosition:
         assert not capped.exact
         assert capped.size <= full.size
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            mod_max_general_position(5, node_budget=-3)
+
     def test_deterministic(self):
         assert mod_max_general_position(9) == mod_max_general_position(9)

@@ -1,13 +1,22 @@
+import gc
 import importlib
 import random
 from array import array
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from intpoints.arith import squarefree_part
-from intpoints.pointset import DistanceMatrix, canonical_form, pointset_characteristic, verify
+from intpoints.cli import _record
+from intpoints.pointset import (
+    DistanceMatrix,
+    canonical_form,
+    embed,
+    pointset_characteristic,
+    verify,
+)
 from intpoints.search import (
     _candidate_groups,
     CharFilter,
@@ -18,7 +27,6 @@ from intpoints.search import (
     extend_cliques,
     integral_pair_check,
     minimum_diameter,
-    partition,
     search,
 )
 
@@ -393,8 +401,8 @@ class TestSearch:
         cfg = SearchConfig(4, 1, 20)
         full = {m.rows for m in search(cfg)}
         pieces = []
-        for shard_cfg in partition(cfg, 4):
-            pieces.append({m.rows for m in search(shard_cfg)})
+        for i in range(4):
+            pieces.append({m.rows for m in search(replace(cfg, shard=(i, 4)))})
         merged = set().union(*pieces)
         assert merged == full
         assert sum(len(p) for p in pieces) == len(merged)  # disjoint keys
@@ -468,16 +476,6 @@ class TestMinimumDiameter:
         assert minimum_diameter(7, 12) is None
 
 
-class TestPartition:
-    def test_single_shard_is_original(self):
-        cfg = SearchConfig(4, 1, 20)
-        assert partition(cfg, 1) == [cfg]
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            partition(SearchConfig(4, 1, 20), 0)
-
-
 @pytest.mark.slow
 class TestSecondDiameterSlow:
     def test_three_heptagons_known(self, heptagon2):
@@ -495,3 +493,33 @@ class TestSecondDiameterSlow:
         bound) re-derives the first certificate at its diameter."""
         cfg = SearchConfig(7, 22270, 22270, CharFilter.divisor_of(6469693230))
         assert list(search(cfg)) == [heptagon1]
+
+
+class TestNoCyclicGarbage:
+    def test_search_and_records_leave_no_cycles(self, heptagon1, heptagon2):
+        # A reference cycle (a recursive closure, a generator that refers
+        # to itself) outlives its frame until the cyclic collector runs, and
+        # that collection is charged to whatever allocates next.
+        gc.disable()
+        try:
+            gc.collect()
+            records = list(search(SearchConfig(4, 300, 300)))
+            assert records
+            assert gc.collect() == 0, "finished search"
+            stream = search(SearchConfig(4, 300, 300))
+            next(stream)
+            stream.close()
+            del stream
+            assert gc.collect() == 0, "abandoned search"
+            for m in (heptagon1, heptagon2):
+                canonical_form(m)
+                assert gc.collect() == 0, "canonical_form"
+                assert verify(m).passed
+                assert gc.collect() == 0, "verify"
+                embed(m)
+                assert gc.collect() == 0, "embed"
+            for m in records:
+                _record(m)
+            assert gc.collect() == 0, "cli._record"
+        finally:
+            gc.enable()
