@@ -6,7 +6,6 @@ relaxed analogue over Z_n x Z_n.
 """
 
 from .arith import (
-    QuadElem,
     integer_sqrt,
     rational_perfect_square,
     squarefree_decompose,
@@ -48,7 +47,6 @@ from .search import (
 )
 
 __all__ = [
-    "QuadElem",
     "integer_sqrt",
     "rational_perfect_square",
     "squarefree_decompose",

@@ -1,15 +1,12 @@
-"""Exact integer, rational and quadratic-irrational arithmetic.
+"""Exact integer and rational arithmetic.
 
-Everything in this package computes with unbounded integers,
-:class:`fractions.Fraction` rationals, and numbers of the form
-``a + b*sqrt(k)`` with ``k`` a square-free positive integer
-(:class:`QuadElem`).  No floating point anywhere.
+Everything in this package computes with unbounded integers and
+:class:`fractions.Fraction` rationals.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -169,124 +166,3 @@ def merge_squarefree(k1: int, s1: int, k2: int, s2: int) -> tuple[int, int]:
     """
     g = math.gcd(k1, k2)
     return (k1 // g) * (k2 // g), s1 * s2 * g
-
-
-@lru_cache(maxsize=4096)
-def _check_radicand(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"radicand must be a positive integer, got {k}")
-    if squarefree_part(k) != k:
-        raise ValueError(f"radicand {k} is not square-free")
-
-
-@dataclass(frozen=True)
-class QuadElem:
-    """Exact number ``a + b*sqrt(k)`` with rational a, b and square-free k.
-
-    Two elements interoperate only when their radicands agree; ``k = 1``
-    means the value is purely rational and is normalized to ``b = 0``,
-    so equality is always componentwise.
-    """
-
-    a: Fraction
-    b: Fraction
-    k: int
-
-    def __init__(self, a, b=0, k: int = 1):
-        a = Fraction(a)
-        b = Fraction(b)
-        _check_radicand(k)
-        if k == 1:
-            a, b = a + b, Fraction(0)
-        elif b == 0:
-            k = 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
-
-    def _coerce(self, other) -> "QuadElem":
-        if isinstance(other, QuadElem):
-            if self.k != 1 and other.k != 1 and self.k != other.k:
-                raise ValueError(f"mismatched radicands {self.k} and {other.k}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(other, 0, 1)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _common_k(self, other: "QuadElem") -> int:
-        return self.k if self.k != 1 else other.k
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b, self._common_k(o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.a - o.a, self.b - o.b, self._common_k(o))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.k)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        k = self._common_k(o)
-        return QuadElem(self.a * o.a + self.b * o.b * k, self.a * o.b + self.b * o.a, k)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.k)
-
-    def norm(self) -> Fraction:
-        """Field norm ``a**2 - k*b**2`` (the product with the conjugate)."""
-        return self.a * self.a - self.k * self.b * self.b
-
-    def inverse(self) -> "QuadElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        return QuadElem(self.a / n, -self.b / n, self.k)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadElem(other, 0, 1)
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.k == other.k
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.k))
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt({self.k})"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt({self.k})"

@@ -38,8 +38,12 @@ def _frac(f: Fraction) -> str:
 
 
 def _read_matrix(path: str) -> DistanceMatrix:
-    with open(path) as fh:
-        return parse_matrix_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidDistanceMatrix(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_matrix_text(text)
 
 
 def _coords_json(e: EmbeddedPointSet) -> list[dict]:

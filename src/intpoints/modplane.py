@@ -183,8 +183,7 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
         return ((uj - ui) % n) * n + ((vj - vi) % n)
 
     circle_count: dict[int, int] = {}
-    best_size = 0
-    best_set: tuple[int, ...] = ()
+    best_size, best_set = 1, (0,)  # the fixed first point alone
     nodes = 0
     exhausted = False
 

@@ -17,12 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .arith import (
-    QuadElem,
-    merge_squarefree,
-    rational_perfect_square,
-    squarefree_decompose,
-)
+from .arith import merge_squarefree, rational_perfect_square, squarefree_decompose
 
 
 class PointSetError(Exception):
@@ -248,12 +243,15 @@ def canonical_form(m: DistanceMatrix) -> tuple[DistanceMatrix, tuple[int, ...]]:
     if n == 1:
         return m, (0,)
     rows = m.rows
+    diameter = max(map(max, rows))
 
     best_vec: list[list[int]] = []
     best_perm: list[int] = []
     chosen: list[int] = []
     prefix: list[list[int]] = []
-    stack = [([], list(range(n - 1, -1, -1)))]
+    # the first entry of every vector is d12, so only an endpoint of a
+    # diameter can start the maximal one
+    stack = [([], [p for p in range(n - 1, -1, -1) if max(rows[p]) == diameter])]
     while stack:
         depth = len(stack) - 1
         top, ties = stack[-1]
@@ -295,7 +293,8 @@ class EmbeddedPointSet:
     ``(x, y_coeff) = points[i]`` are rationals and ``k`` is the common
     square-free radicand (the characteristic for sets in general
     position).  Convention: point 1 at the origin, point 2 on the
-    positive x-axis, point 3 above it.
+    positive x-axis, point 3 above it.  Four of the ``points`` with
+    ``k`` go straight into ``is_concyclic_or_collinear``.
     """
 
     k: int
@@ -310,9 +309,6 @@ class EmbeddedPointSet:
 
     def y_coeff(self, i: int) -> Fraction:
         return self.points[i][1]
-
-    def y_quad(self, i: int) -> QuadElem:
-        return QuadElem(0, self.points[i][1], self.k)
 
     def squared_distance(self, i: int, j: int) -> Fraction:
         dx = self.points[i][0] - self.points[j][0]
@@ -466,32 +462,14 @@ def _lift(points: Sequence[tuple[Fraction, Fraction]], k: int) -> list[tuple[int
     return lifts
 
 
-def is_concyclic_or_collinear(p, q, r, s) -> bool:
+def is_concyclic_or_collinear(p, q, r, s, k: int = 1) -> bool:
     """True iff the four points lie on a common circle or common line.
 
-    Points are (x, y) pairs with a rational x and a y that is rational or
-    ``b*sqrt(k)``, one k for all points (the form of every embedding);
-    rationals may be ints, Fractions or rational QuadElems.  Any other
-    point, or a nonzero rational y next to a ``b*sqrt(k)`` one, raises
-    ValueError.
+    Each point is a pair ``(x, c)`` of rationals (ints or Fractions) that
+    stands for ``(x, c*sqrt(k))``, the form of ``EmbeddedPointSet.points``;
+    with the default ``k = 1`` the pairs are plain rational points.
     """
-    coords, fields = [], set()
-    for x, y in (p, q, r, s):
-        if isinstance(x, QuadElem):
-            if not x.is_rational():
-                raise ValueError(f"x = {x} is not rational")
-            x = x.a
-        k = 1
-        if isinstance(y, QuadElem):
-            if y.a and y.b:
-                raise ValueError(f"y = {y} is neither rational nor b*sqrt(k)")
-            y, k = (y.b, y.k) if y.b else (y.a, 1)
-        if y:
-            fields.add(k)
-        coords.append((Fraction(x), Fraction(y)))
-    if len(fields) > 1:
-        raise ValueError(f"y coordinates lie in different fields Q*sqrt(k), k in {sorted(fields)}")
-    a, b, c, d = _lift(coords, fields.pop() if fields else 1)
+    a, b, c, d = _lift((p, q, r, s), k)
     return not _avoids((_circle(a, b, c),), d)
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
-Everything here is deliberately naive: n! enumeration, direct circumcenter
-solving, sympy factorization.  None of it shares code with the package.
+Everything here is deliberately naive: n! enumeration, a cross-ratio test
+on Fraction pairs, sympy factorization.  None of it shares code with the
+package; only the ``DistanceMatrix`` container is imported.
 """
 
 from fractions import Fraction
@@ -9,7 +10,6 @@ from itertools import combinations, permutations
 
 from sympy import factorint
 
-from intpoints.arith import QuadElem
 from intpoints.pointset import DistanceMatrix
 
 
@@ -44,7 +44,7 @@ def brute_force_point_sets(target_n: int, d_cap: int) -> set:
     A set's diameter edge is anchored at (0,0)-(D,0); further points are found
     by scanning all integer distance pairs (a, b) to the base points, with
     exact Fraction coordinates over sqrt(k).  Geometry is checked with the
-    circumcenter oracle and cross products, canonicalization is the n!
+    cross-ratio oracle and cross products, canonicalization is the n!
     enumeration.  Shares no code with the search engine.
     """
     from math import isqrt
@@ -85,8 +85,7 @@ def brute_force_point_sets(target_n: int, d_cap: int) -> set:
                 if collinear(*tri):
                     return False
             for quad in combinations(points, 4):
-                pts = [(QuadElem(x), QuadElem(0, q, k) if k > 1 else QuadElem(q)) for x, q in quad]
-                if circumcenter_concyclic_or_collinear(pts):
+                if cross_ratio_concyclic_or_collinear(quad, k):
                     return False
             return True
 
@@ -201,36 +200,24 @@ def brute_force_mod_max(n: int) -> tuple[int, tuple]:
     return best[0], tuple(sorted(best[1]))
 
 
-def circumcenter_concyclic_or_collinear(pts) -> bool:
-    """Concyclicity via the exact circumcenter of the first three points.
+def cross_ratio_concyclic_or_collinear(pts, k: int = 1) -> bool:
+    """Concyclicity via the cross ratio of four points of the complex plane.
 
-    Points are (x, y) pairs of QuadElems over one radicand.  If the first
-    three points are collinear the quadruple is on a 'circle or line' iff
-    all four are collinear.
+    Points are (x, q) pairs of rationals standing for z = x + i*q*sqrt(k).
+    Four distinct points lie on one circle or line exactly when
+    (z1 - z3)(z2 - z4) / ((z1 - z4)(z2 - z3)) is real, that is when
+    num * conj(den) has no imaginary part.  A complex number is held as
+    (re, im / sqrt(k)), so products stay pairs of Fractions.  A repeated
+    point leaves at most three, which always qualify, and gives True.
     """
-    pts = [
-        (x if isinstance(x, QuadElem) else QuadElem(Fraction(x)),
-         y if isinstance(y, QuadElem) else QuadElem(Fraction(y)))
-        for x, y in pts
-    ]
-    (x1, y1), (x2, y2), (x3, y3) = pts[:3]
+    z = [(Fraction(x), Fraction(q)) for x, q in pts]
 
-    def collinear(a, b, c):
-        return ((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])).is_zero()
+    def sub(u, v):
+        return u[0] - v[0], u[1] - v[1]
 
-    if collinear(*pts[:3]):
-        return collinear(pts[0], pts[1], pts[3]) and collinear(pts[0], pts[2], pts[3])
+    def mul(u, v):
+        return u[0] * v[0] - k * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
-    # perpendicular bisector equations: 2(xi-x1)cx + 2(yi-y1)cy = |pi|^2 - |p1|^2
-    a11, a12 = 2 * (x2 - x1), 2 * (y2 - y1)
-    a21, a22 = 2 * (x3 - x1), 2 * (y3 - y1)
-    r1 = x2 * x2 + y2 * y2 - x1 * x1 - y1 * y1
-    r2 = x3 * x3 + y3 * y3 - x1 * x1 - y1 * y1
-    det = a11 * a22 - a12 * a21
-    cx = (r1 * a22 - r2 * a12) / det
-    cy = (a11 * r2 - a21 * r1) / det
-
-    def sq_radius(p):
-        return (p[0] - cx) * (p[0] - cx) + (p[1] - cy) * (p[1] - cy)
-
-    return sq_radius(pts[3]) == sq_radius(pts[0])
+    num = mul(sub(z[0], z[2]), sub(z[1], z[3]))
+    den = mul(sub(z[0], z[3]), sub(z[1], z[2]))
+    return mul(num, (den[0], -den[1]))[1] == 0

@@ -35,7 +35,7 @@ from .conftest import HEPTAGON_1_COORDS
 from .oracles import (
     brute_force_mod_max,
     brute_force_point_sets,
-    circumcenter_concyclic_or_collinear,
+    cross_ratio_concyclic_or_collinear,
     naive_canonical,
 )
 
@@ -149,7 +149,7 @@ def test_criterion_5b_concyclic_oracle():
         ]
         if len(set(pts)) < 4:
             continue
-        assert is_concyclic_or_collinear(*pts) == circumcenter_concyclic_or_collinear(pts)
+        assert is_concyclic_or_collinear(*pts) == cross_ratio_concyclic_or_collinear(pts)
         checked += 1
     # include guaranteed-concyclic cases: four points of a random rational circle
     for _ in range(50):
@@ -157,8 +157,8 @@ def test_criterion_5b_concyclic_oracle():
         picks = rng.sample([(3, 4), (4, 3), (5, 0), (0, 5), (-3, 4), (-4, -3), (0, -5), (3, -4)], 4)
         pts = [(cx + dx, cy + dy) for dx, dy in picks]
         assert is_concyclic_or_collinear(*pts)
-        assert circumcenter_concyclic_or_collinear(pts)
-    report("5b concyclicity vs circumcenter oracle", f"{checked}+200 quadruples, exact agreement")
+        assert cross_ratio_concyclic_or_collinear(pts)
+    report("5b concyclicity vs cross-ratio oracle", f"{checked}+200 quadruples, exact agreement")
 
 
 def test_criterion_5c_search_completeness():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intpoints.arith import (
-    QuadElem,
     factorize,
     integer_sqrt,
     is_probable_prime,
@@ -128,61 +127,3 @@ class TestRationalPerfectSquare:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rational_perfect_square(Fraction(-1, 4))
-
-
-quad_rationals = st.fractions(
-    min_value=-100, max_value=100, max_denominator=50
-)
-
-
-class TestQuadElem:
-    def test_conjugate_product_is_norm(self):
-        x = QuadElem(1, 2, 3)
-        assert x * x.conjugate() == QuadElem(-11)
-
-    def test_sqrt2_squared(self):
-        r2 = QuadElem(0, 1, 2)
-        assert r2 * r2 == QuadElem(2, 0, 2)
-
-    def test_componentwise_addition(self):
-        x = QuadElem(Fraction(3, 2), Fraction(1, 2), 5)
-        y = QuadElem(Fraction(1, 2), Fraction(1, 2), 5)
-        assert x + y == QuadElem(2, 1, 5)
-
-    def test_mismatched_radicands_rejected(self):
-        with pytest.raises(ValueError):
-            QuadElem(1, 1, 2) + QuadElem(1, 1, 3)
-
-    def test_non_squarefree_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            QuadElem(1, 1, 12)
-
-    def test_division_by_zero_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            QuadElem(1, 1, 2) / QuadElem(0, 0, 2)
-
-    def test_rational_radicand_normalized(self):
-        assert QuadElem(2, 3, 1) == QuadElem(5)
-        assert QuadElem(7, 0, 2002).k == 1
-
-    @given(a=quad_rationals, b=quad_rationals, c=quad_rationals, d=quad_rationals)
-    @settings(max_examples=300)
-    def test_field_axioms(self, a, b, c, d):
-        k = 7
-        x = QuadElem(a, b, k)
-        y = QuadElem(c, d, k)
-        z = QuadElem(b, c, k)
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        if not x.is_zero():
-            assert x * x.inverse() == QuadElem(1)
-
-    @given(a=quad_rationals, b=quad_rationals, c=quad_rationals, d=quad_rationals)
-    @settings(max_examples=200)
-    def test_div_inverts_mul(self, a, b, c, d):
-        k = 13
-        x = QuadElem(a, b, k)
-        y = QuadElem(c, d, k)
-        if not y.is_zero():
-            assert (x * y) / y == x

@@ -71,6 +71,14 @@ class TestVerifyCommand:
         rc, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
         assert rc == 2
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "binary.txt"
+        f.write_bytes(b"\xff\xfe3\n")
+        rc, out, err = run(capsys, "verify", str(f))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
 
 class TestEmbedCommand:
     def test_text_format(self, capsys, heptagon1_file):
@@ -111,6 +119,14 @@ class TestEmbedCommand:
         rc, _, err = run(capsys, "embed", str(f))
         assert rc == 1
         assert "not realizable" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "binary.txt"
+        f.write_bytes(b"\xff\xfe3\n")
+        rc, out, err = run(capsys, "embed", str(f))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
 
 
 class TestSearchCommand:
@@ -292,6 +308,12 @@ class TestModsearchCommand:
         rc, out, err = run(capsys, "modsearch", "--modulus", "11", "--budget", "3")
         assert rc == 0
         assert ">=" in out.splitlines()[0]
+        assert "lower bound" in err
+
+    def test_zero_budget_keeps_the_fixed_point(self, capsys):
+        rc, out, err = run(capsys, "modsearch", "--modulus", "5", "--budget", "0")
+        assert rc == 0
+        assert out.splitlines() == ["max_general_position(modulus=5) >= 1", "0 0"]
         assert "lower bound" in err
 
     def test_negative_budget_exits_2(self, capsys):

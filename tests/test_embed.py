@@ -1,10 +1,11 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from intpoints.arith import QuadElem
 from intpoints.pointset import (
     CoincidentPoints,
     CollinearBase,
@@ -18,7 +19,7 @@ from intpoints.pointset import (
 )
 
 from .conftest import HEPTAGON_1_COORDS
-from .oracles import circumcenter_concyclic_or_collinear
+from .oracles import cross_ratio_concyclic_or_collinear
 
 
 class TestEmbed:
@@ -85,10 +86,6 @@ class TestDistancesFromEmbedding:
             distances_from_embedding(e)
 
 
-def quad_point(x, q, k):
-    return (Fraction(x), QuadElem(0, Fraction(q), k))
-
-
 class TestConcyclic:
     def test_unit_square(self):
         pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
@@ -104,30 +101,12 @@ class TestConcyclic:
 
     def test_heptagon_quadruples_all_clear(self, heptagon1):
         e = embed(heptagon1)
-        pts = [(e.x(i), e.y_quad(i)) for i in range(7)]
         checked = 0
-        for quad in combinations(range(7), 4):
-            assert not is_concyclic_or_collinear(*(pts[i] for i in quad))
+        for quad in combinations(e.points, 4):
+            assert not is_concyclic_or_collinear(*quad, k=e.k)
+            assert not cross_ratio_concyclic_or_collinear(quad, k=e.k)
             checked += 1
         assert checked == 35
-
-    def test_mismatched_radicands_rejected(self):
-        with pytest.raises(ValueError):
-            is_concyclic_or_collinear(
-                quad_point(0, 1, 2), quad_point(1, 1, 3), (0, 0), (1, 1)
-            )
-
-    def test_irrational_x_rejected(self):
-        with pytest.raises(ValueError):
-            is_concyclic_or_collinear(
-                (QuadElem(1, 1, 2), 0), quad_point(1, 1, 2), quad_point(2, 1, 2), (3, 0)
-            )
-
-    def test_rational_y_next_to_radical_y_rejected(self):
-        with pytest.raises(ValueError):
-            is_concyclic_or_collinear(
-                quad_point(0, 1, 2), quad_point(1, 2, 2), (2, Fraction(1, 2)), (3, 0)
-            )
 
     def test_agrees_with_circumcenter_oracle_rational(self):
         rng = random.Random(22270)
@@ -140,7 +119,7 @@ class TestConcyclic:
             ]
             if len(set(pts)) < 4:
                 continue
-            assert is_concyclic_or_collinear(*pts) == circumcenter_concyclic_or_collinear(pts)
+            assert is_concyclic_or_collinear(*pts) == cross_ratio_concyclic_or_collinear(pts)
             agree += 1
 
     def test_agrees_with_circumcenter_oracle_quadratic(self):
@@ -148,15 +127,39 @@ class TestConcyclic:
         for _ in range(300):
             k = rng.choice([2, 3, 5, 2002])
             pts = [
-                (Fraction(rng.randint(-8, 8)), QuadElem(0, Fraction(rng.randint(-8, 8), rng.randint(1, 3)), k))
+                (Fraction(rng.randint(-8, 8)), Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
                 for _ in range(4)
             ]
-            if len({(x, y) for x, y in pts}) < 4:
+            if len(set(pts)) < 4:
                 continue
-            assert is_concyclic_or_collinear(*pts) == circumcenter_concyclic_or_collinear(pts)
+            assert is_concyclic_or_collinear(*pts, k=k) == cross_ratio_concyclic_or_collinear(pts, k)
+        # the random draws above are never concyclic: force four points of a
+        # line, and four of the circle (x - 1)^2 + k*q^2 = 1 + k, the point
+        # (0, 1) and its second cuts with the lines q = 1 + m*x
+        for k in (2, 3, 5, 2002):
+            line = [(Fraction(t), Fraction(2 * t - 1, 3)) for t in (0, 1, 2, 5)]
+            circle = [(Fraction(0), Fraction(1))]
+            for m in (1, -1, 2):
+                t = Fraction(2 * (1 - k * m), 1 + k * m * m)
+                circle.append((t, 1 + m * t))
+            for pts in (line, circle):
+                assert is_concyclic_or_collinear(*pts, k=k)
+                assert cross_ratio_concyclic_or_collinear(pts, k)
 
     def test_forced_concyclic_agreement(self):
         # points picked on the circle x^2+y^2 = 25
         pts = [(3, 4), (5, 0), (-4, 3), (0, -5)]
         assert is_concyclic_or_collinear(*pts)
-        assert circumcenter_concyclic_or_collinear(pts)
+        assert cross_ratio_concyclic_or_collinear(pts)
+
+
+class TestOracleIndependence:
+    def test_oracles_import_only_the_matrix_container(self):
+        tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "intpoints":
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.split(".")[0] == "intpoints" for alias in node.names)
+        assert imported == {"DistanceMatrix"}
