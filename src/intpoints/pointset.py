@@ -125,14 +125,19 @@ def check_matrix_shape(rows: Sequence[Sequence[int]]) -> None:
 
 
 def parse_matrix_text(text: str) -> DistanceMatrix:
-    """Parse the exchange format: first line n, then n full symmetric rows."""
+    """Parse the exchange format: first line n, then n full symmetric rows.
+
+    Every token is a plain ASCII decimal integer, ``-?[0-9]+``: ``int()``
+    alone would also read digit separators and non-ASCII digits, which
+    another reader of the same certificate may not.
+    """
     tokens = text.split()
     if not tokens:
         raise InvalidDistanceMatrix("empty input")
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise InvalidDistanceMatrix(f"non-integer token: {exc}") from None
+    for t in tokens:
+        if not (t.isascii() and t.removeprefix("-").isdigit()):
+            raise InvalidDistanceMatrix(f"non-integer token: {t!r}")
+    values = [int(t) for t in tokens]
     n = values[0]
     if n < 1:
         raise InvalidDistanceMatrix(f"point count must be >= 1, got {n}")

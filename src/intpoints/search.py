@@ -13,10 +13,11 @@ canonical form.
 Writing u = a + b and v = a - b turns the characteristic of (d, a, b)
 into the square-free part of (u^2 - d^2)(d^2 - v^2).  The square-free
 parts of u - d, u + d, d - v and d + v (all at most 3*d_max) come from one
-cached table, so each half is two lookups and a gcd.  The v-halves are
-indexed by the key the characteristic filter needs (kb itself for a fixed
-k, the part of kb prime to the bound for a divisor filter), and each u
-finds its admitted v's with one dict lookup instead of a scan of all
+cached table, so each half is two lookups and a gcd.  Both halves get the
+key the characteristic filter needs (kb itself for a fixed k, the part of
+kb prime to the bound for a divisor filter), and the v's are indexed by it
+as a semi-join: only keys that some u looks up are indexed, and each such
+u finds its admitted v's with one dict lookup instead of a scan of all
 (a, b) pairs.
 
 The clique stage keeps one integer bitset of neighbours per signed
@@ -28,11 +29,11 @@ pairs.  Reflecting in the perpendicular bisector of the base maps class
 so only one pair of each orbit under it is tested and an edge found there
 joins the reflected pair too, which halves the tests.  An edge of length t
 has squared scaled length (2d*t)^2, so a divisibility test by 4d^2 screens
-the pairs before the exact square root.  With general position required,
-an edge is dropped when its two points are collinear with a base point or
-concyclic with both, so the clique search tests only triples and
-quadruples of chosen points.  k-core pruning removes vertices with fewer
-than n - 3 live neighbours.  The depth-first search then runs on an
+the pairs before the exact square root of the quotient t^2.  With general
+position required, an edge is dropped when its two points are collinear
+with a base point or concyclic with both, so the clique search tests only
+triples and quadruples of chosen points.  k-core pruning removes vertices
+with fewer than n - 3 live neighbours.  The depth-first search then runs on an
 explicit stack of candidate bitsets, one per depth, and takes candidates
 lowest index first; after each new vertex it keeps the candidates among
 its neighbours (a bitset intersection) that lie on no line through it and
@@ -50,6 +51,7 @@ from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
+from operator import floordiv, mul
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from .arith import squarefree_part
@@ -77,7 +79,7 @@ def _spf_sieve(limit: int) -> array:
     for i in range(2, math.isqrt(limit) + 1):
         first = -lo % (i * i)
         root[first :: i * i] = array("q", [i]) * len(range(first, len(root), i * i))
-    _SQF.extend(n // (r * r) for n, r in zip(range(lo, limit + 1), root))
+    _SQF.extend(map(floordiv, range(lo, limit + 1), map(mul, root, root)))
     return _SQF
 
 
@@ -240,47 +242,60 @@ def _candidate_groups(
 
     With u = a + b and v = a - b the characteristic k is the square-free
     part of ka*kb, where ka is that of u^2 - d^2 and kb that of d^2 - v^2;
-    both are read off the square-free table.  The v's are indexed by the key
-    of kb that the filter needs, so one lookup per u finds every admitted v:
+    both are read off the square-free table.  Each kb and each ka is given
+    the key of the filter, and a v and a u combine into an admitted
+    candidate exactly when their keys are equal:
 
-    * a fixed k keys kb itself and looks up the square-free part of ka*k;
-    * a divisor bound B keys the rough part kb // gcd(kb, B).  As ka and kb
-      are square-free, k = ka*kb/gcd(ka, kb)^2 holds the primes of exactly
-      one of them, so k divides B exactly when ka and kb have the same
-      primes outside B, that is, equal rough parts;
-    * no restriction gives every kb the same key.
+    * a fixed k keys kb itself and ka by the square-free part of ka*k;
+    * a divisor bound B keys both by the rough part m // gcd(m, B).  As ka
+      and kb are square-free, k = ka*kb/gcd(ka, kb)^2 holds the primes of
+      exactly one of them, so k divides B exactly when ka and kb have the
+      same primes outside B, that is, equal rough parts;
+    * no restriction gives every kb and ka the same key.
 
-    S is computed for admitted candidates only, as isqrt of the Heron
-    product (u^2 - d^2)(d^2 - v^2) divided by k.
+    The pairing is a semi-join: only the v's whose key some u has are
+    indexed, and only the u's whose key is in that index are walked, one
+    lookup each.  S is computed for admitted candidates only, as isqrt of
+    the Heron product (u^2 - d^2)(d^2 - v^2) divided by k.
     """
     sqf = _spf_sieve(max(3 * d, d + 2 * cap_ab))
     d2 = d * d
+    u_hi = 2 * cap_ab
+    # square-free parts of d^2 - v^2 for v = 0..d-1 and of u^2 - d^2 for
+    # u = d+1..2*cap_ab, each from the parts of its two factors
+    v_parts = [p * q // math.gcd(p, q) ** 2 for p, q in zip(sqf[d:0:-1], sqf[d : 2 * d])]
+    u_parts = [
+        p * q // math.gcd(p, q) ** 2
+        for p, q in zip(sqf[1 : u_hi - d + 1], sqf[2 * d + 1 : u_hi + d + 1])
+    ]
     if char_filter.kind == "fixed":
         target = char_filter.value
-        v_key, u_key = (lambda kb: kb), (lambda ka: _sqf_mul(ka, target))
+        v_keys = v_parts
+        u_keys = [ka * target // math.gcd(ka, target) ** 2 for ka in u_parts]
     elif char_filter.kind == "divisor":
         bound = char_filter.value
-        v_key = u_key = lambda m: m // math.gcd(m, bound)
+        v_keys = [kb // math.gcd(kb, bound) for kb in v_parts]
+        u_keys = [ka // math.gcd(ka, bound) for ka in u_parts]
     else:
-        v_key = u_key = lambda m: 1
+        v_keys = [1] * len(v_parts)
+        u_keys = [1] * len(u_parts)
 
-    # v's by key, split by parity (v = a - b has the parity of u = a + b)
-    v_parts = [_sqf_mul(sqf[d - v], sqf[d + v]) for v in range(d)]
+    # the looked-up v's by key, split by parity (v = a - b has the parity
+    # of u = a + b)
+    wanted = set(u_keys)
     index: dict[int, tuple[list[int], list[int]]] = {}
-    for v, kb in enumerate(v_parts):
-        index.setdefault(v_key(kb), ([], []))[v & 1].append(v)
+    for v in [v for v, key in enumerate(v_keys) if key in wanted]:
+        index.setdefault(v_keys[v], ([], []))[v & 1].append(v)
 
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for u in range(d + 1, 2 * cap_ab + 1):
-        ka = _sqf_mul(sqf[u - d], sqf[u + d])
-        lists = index.get(u_key(ka))
-        if lists is None:
-            continue
-        vs = lists[u & 1]
-        vlim = min(d - 1, u - 2, 2 * cap_ab - u)
+    for i in [i for i, key in enumerate(u_keys) if key in index]:
+        u, ka = d + 1 + i, u_parts[i]
+        vs = index[u_keys[i]][u & 1]
+        vlim = min(d - 1, u - 2, u_hi - u)
         hu = u * u - d2
         for v in vs[: bisect_right(vs, vlim)]:
-            k = _sqf_mul(ka, v_parts[v])
+            kb = v_parts[v]
+            k = ka * kb // math.gcd(ka, kb) ** 2
             s = math.isqrt(hu * (d2 - v * v) // k)
             a, b = (u + v) // 2, (u - v) // 2
             bucket = groups.setdefault(k, [])
@@ -353,8 +368,7 @@ def _clique_stream(
     """
     need = config.target_n - 2
     cap = min(d, config.d_max)
-    two_d = 2 * d
-    edge_unit = two_d * two_d
+    edge_unit = 4 * d * d
     x2 = 2 * d * d
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     nv = len(verts)
@@ -409,8 +423,8 @@ def _clique_stream(
         # Squared scaled distances from this class to every class in
         # `later`, with equal and with opposite signs of y (a class and
         # itself with opposite signs: the mirror pair).  An edge of length
-        # t has n2 = (2d*t)^2, so only nonzero multiples of 4d^2 go on to
-        # the exact root.
+        # t has n2 = (2d*t)^2, so only nonzero multiples of 4d^2 go on, and
+        # the exact root is taken of the quotient t^2.
         two_ky = 2 * k * y
         sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _, _ in later]
         cross = [two_ky * yq for _, yq, _, _, _ in later]
@@ -420,9 +434,9 @@ def _clique_stream(
             (False, [s + c for s, c in zip(sums, cross)]),
         ):
             for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0 and n2]:
-                r = math.isqrt(n2s[j])
-                t = r // two_d
-                if r * r != n2s[j] or r % two_d or t > cap:
+                t2 = n2s[j] // edge_unit
+                t = math.isqrt(t2)
+                if t * t != t2 or t > cap:
                     continue
                 xq, yq, _, others, others_image = later[j]
                 if general:
@@ -532,7 +546,9 @@ def extend_cliques(
 
     Every emitted matrix has config.target_n points, passes the general
     position constraints, and is canonical; duplicates (mirror images,
-    base-pair swaps) are emitted once.
+    base-pair swaps) are emitted once.  A candidate whose coordinates are
+    not at distances ``a`` and ``b`` from the base points raises
+    ``ValueError``.
     """
     if not candidates:
         return
@@ -540,13 +556,19 @@ def extend_cliques(
     if len(ks) != 1 or any(c.d_base != base_d for c in candidates):
         raise ValueError("candidates must share one base and characteristic")
     k = ks.pop()
+    x2 = 2 * base_d * base_d
     verts = []
     for c in candidates:
         x2d = c.x * 2 * base_d
         y2d = c.y_coeff * 2 * base_d
         if x2d.denominator != 1 or y2d.denominator != 1:
             raise ValueError(f"candidate {c} is not valid over base {base_d}")
-        verts.append((c.a, c.b, int(x2d), int(y2d)))
+        x, y = int(x2d), int(y2d)
+        # scaled by 2d, the distances to (0, 0) and (d, 0) are a and b
+        ky2 = k * y * y
+        if x * x + ky2 != (2 * base_d * c.a) ** 2 or (x2 - x) ** 2 + ky2 != (2 * base_d * c.b) ** 2:
+            raise ValueError(f"candidate {c} is not at distances a, b from the base points")
+        verts.append((c.a, c.b, x, y))
     verts.sort()
     yield from _clique_stream(base_d, k, verts, config)
 

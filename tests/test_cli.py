@@ -60,6 +60,16 @@ class TestVerifyCommand:
         assert rc == 2
         assert "asymmetric" in err
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])  # digit separator, Arabic-Indic one
+    def test_non_ascii_decimal_token_exits_2(self, capsys, tmp_path, token):
+        # int() reads both; a certificate holds plain ASCII decimals only
+        f = tmp_path / "odd.txt"
+        f.write_text(f"2\n0 {token}\n{token} 0\n", encoding="utf-8")
+        rc, out, err = run(capsys, "verify", str(f))
+        assert rc == 2
+        assert out == ""
+        assert "non-integer token" in err and repr(token) in err
+
     def test_failing_matrix_exits_1(self, capsys, tmp_path):
         collinear = tmp_path / "collinear.txt"
         collinear.write_text("3\n0 1 2\n1 0 1\n2 1 0\n")

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import math
 import random
 from array import array
 from dataclasses import replace
@@ -30,7 +31,7 @@ from intpoints.search import (
     search,
 )
 
-from .oracles import brute_force_point_sets
+from .oracles import brute_force_point_sets, sympy_triangle_characteristic
 
 # the package exports the function `search`, which hides the module's name
 search_module = importlib.import_module("intpoints.search")
@@ -172,6 +173,31 @@ class TestCandidateIndex:
                 got = _candidate_groups(d, d, CharFilter.fixed(k))
                 assert got == ({k: full[k]} if k in full else {}), (d, k)
 
+    def test_matches_naive_scan_oracle(self):
+        # every (a, b) with a strict triangle (d, a, b), its characteristic
+        # by sympy, and the scaled point computed directly: X = 2d*x and
+        # k*S^2 = (2d*y)^2 with y^2 = a^2 - x^2
+        filters = [CharFilter.parse(f) for f in ("any", "div:30", "div:2002", "1", "2", "15")]
+        for d in range(1, 41):
+            for cap in (d, d + 5):
+                scan = {}
+                for a in range(1, cap + 1):
+                    for b in range(1, cap + 1):
+                        if not abs(a - b) < d < a + b:
+                            continue
+                        k = sympy_triangle_characteristic(d, a, b)
+                        x = a * a - b * b + d * d
+                        ks2 = 4 * d * d * a * a - x * x
+                        s = math.isqrt(ks2 // k)
+                        assert k * s * s == ks2 and s > 0
+                        scan.setdefault(k, set()).add((a, b, x, s))
+                for filt in filters:
+                    got = _candidate_groups(d, cap, filt)
+                    assert all(bucket == sorted(bucket) for bucket in got.values())
+                    expected = {k: v for k, v in scan.items() if filt.admits(k)}
+                    assert {k: set(v) for k, v in got.items()} == expected, (d, cap, filt)
+                    assert sum(map(len, got.values())) == sum(map(len, expected.values()))
+
     def test_candidate_points_beyond_base(self):
         # with d_max > d the distances to the base points may exceed d
         from intpoints.pointset import triangle_characteristic
@@ -239,6 +265,15 @@ class TestExtendCliques:
         shuffled = list(cands)
         random.Random(3).shuffle(shuffled)
         assert {m.rows for m in extend_cliques(shuffled, 16, cfg)} == baseline
+
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_candidate_off_its_distances_rejected(self, field):
+        # coordinates kept, one distance to a base point made wrong: the
+        # point is not at distances a, b, so no set may be built from it
+        cands = candidate_points(8, 1, 8)
+        cands[0] = replace(cands[0], **{field: getattr(cands[0], field) + 1})
+        with pytest.raises(ValueError, match="distances"):
+            list(extend_cliques(cands, 8, SearchConfig(4, 1, 8)))
 
     def test_one_sign_of_each_candidate(self):
         cands = candidate_points(65, 1, 65)
