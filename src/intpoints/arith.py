@@ -11,6 +11,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def decimal_int(text: str) -> int:
+    """The integer a plain ASCII decimal ``-?[0-9]+`` names.
+
+    ``int()`` alone also reads digit separators, signs, surrounding space
+    and non-ASCII digits, which another reader of the same input may not;
+    anything else raises ValueError.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"{text!r} is not a plain decimal integer")
+    return int(text)
+
+
 def integer_sqrt(n: int) -> tuple[int, bool]:
     """Floor square root of ``n`` plus a perfect-square flag.
 

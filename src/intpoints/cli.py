@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import catalog
+from .arith import decimal_int
 from .modplane import mod_max_general_position
 from .pointset import (
     DistanceMatrix,
@@ -120,7 +121,7 @@ def cmd_search(args) -> int:
     if args.shard:
         try:
             index, _, total = args.shard.partition("/")
-            shard = (int(index), int(total))
+            shard = (decimal_int(index), decimal_int(total))
         except ValueError:
             print(f"error: bad --shard value {args.shard!r}, expected i/t", file=sys.stderr)
             return EXIT_USAGE
@@ -190,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("search", help="enumerate point sets by diameter range")
-    p.add_argument("--n", type=int, required=True, help="points per set")
-    p.add_argument("--dmin", type=int, default=1)
-    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--n", type=decimal_int, required=True, help="points per set")
+    p.add_argument("--dmin", type=decimal_int, default=1)
+    p.add_argument("--dmax", type=decimal_int, required=True)
     p.add_argument("--char", default="any", help="characteristic filter: any, K, or div:K")
     p.add_argument("--cluster", action="store_true", help="restrict to characteristic 1")
     p.add_argument("--shard", default=None, help="process only shard i of t, as i/t")
@@ -202,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("modsearch", help="maximum general-position set over Z_n^2")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="search node budget (default unlimited)")
+    p.add_argument("--modulus", type=decimal_int, required=True)
+    p.add_argument("--budget", type=decimal_int, default=None, help="search node budget (default unlimited)")
     p.set_defaults(func=cmd_modsearch)
 
     p = sub.add_parser("catalog", help="known reference values")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .arith import merge_squarefree, rational_perfect_square, squarefree_decompose
+from .arith import decimal_int, merge_squarefree, rational_perfect_square, squarefree_decompose
 
 
 class PointSetError(Exception):
@@ -127,17 +127,15 @@ def check_matrix_shape(rows: Sequence[Sequence[int]]) -> None:
 def parse_matrix_text(text: str) -> DistanceMatrix:
     """Parse the exchange format: first line n, then n full symmetric rows.
 
-    Every token is a plain ASCII decimal integer, ``-?[0-9]+``: ``int()``
-    alone would also read digit separators and non-ASCII digits, which
-    another reader of the same certificate may not.
+    Every token is a plain ASCII decimal integer (``arith.decimal_int``).
     """
     tokens = text.split()
     if not tokens:
         raise InvalidDistanceMatrix("empty input")
-    for t in tokens:
-        if not (t.isascii() and t.removeprefix("-").isdigit()):
-            raise InvalidDistanceMatrix(f"non-integer token: {t!r}")
-    values = [int(t) for t in tokens]
+    try:
+        values = [decimal_int(t) for t in tokens]
+    except ValueError as exc:
+        raise InvalidDistanceMatrix(f"non-integer token: {exc}") from None
     n = values[0]
     if n < 1:
         raise InvalidDistanceMatrix(f"point count must be >= 1, got {n}")

@@ -20,20 +20,22 @@ as a semi-join: only keys that some u looks up are indexed, and each such
 u finds its admitted v's with one dict lookup instead of a scan of all
 (a, b) pairs.
 
-The clique stage keeps one integer bitset of neighbours per signed
-candidate.  Mirroring in the base line keeps distances, so the two signs
-of a raw candidate form one class, and a pair of classes is tested once
-with equal and once with opposite signs of y, for all four of its signed
-pairs.  Reflecting in the perpendicular bisector of the base maps class
-(a, b) to (b, a); it swaps the base points and keeps distances and signs,
-so only one pair of each orbit under it is tested and an edge found there
-joins the reflected pair too, which halves the tests.  An edge of length t
-has squared scaled length (2d*t)^2, so a divisibility test by 4d^2 screens
-the pairs before the exact square root of the quotient t^2.  With general
-position required, an edge is dropped when its two points are collinear
-with a base point or concyclic with both, so the clique search tests only
-triples and quadruples of chosen points.  k-core pruning removes vertices
-with fewer than n - 3 live neighbours.  The depth-first search then runs on an
+The clique stage takes one bucket of classes (a, b, X, S) as the index
+sorts it, closed under the reflection (a, b) -> (b, a) in the
+perpendicular bisector of the base, and gives class i two vertices: 2i
+below the base line and 2i + 1 above it.  It keeps one integer bitset of
+neighbours per vertex.  Mirroring in the base line keeps distances, so a
+pair of classes is tested once with equal and once with opposite signs of
+y, for all four of its signed pairs.  The bisector reflection swaps the
+base points and keeps distances and signs, so only one pair of each orbit
+under it is tested and an edge found there joins the reflected pair too,
+which halves the tests.  An edge of length t has squared scaled length
+(2d*t)^2, so a divisibility test by 4d^2 screens the pairs before the
+exact square root of the quotient t^2.  With general position required, an
+edge is dropped when its two points are collinear with a base point or
+concyclic with both, so the clique search tests only triples and
+quadruples of chosen points.  k-core pruning removes vertices with fewer
+than n - 3 live neighbours.  The depth-first search then runs on an
 explicit stack of candidate bitsets, one per depth, and takes candidates
 lowest index first; after each new vertex it keeps the candidates among
 its neighbours (a bitset intersection) that lie on no line through it and
@@ -52,9 +54,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import floordiv, mul
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Optional, Sequence
 
-from .arith import squarefree_part
+from .arith import decimal_int, squarefree_part
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,8 @@ class CharFilter:
         if text == "any":
             return CharFilter.any_char()
         if text.startswith("div:"):
-            return CharFilter.divisor_of(int(text[4:]))
-        return CharFilter.fixed(int(text))
+            return CharFilter.divisor_of(decimal_int(text[4:]))
+        return CharFilter.fixed(decimal_int(text))
 
     def admits(self, k: int) -> bool:
         if self.kind == "any":
@@ -348,78 +350,64 @@ def integral_pair_check(p: CandidatePoint, q: CandidatePoint) -> Optional[int]:
 def _clique_stream(
     d: int,
     k: int,
-    verts: list[tuple[int, int, int, int]],
+    classes: list[tuple[int, int, int, int]],
+    allowed: int,
     config: SearchConfig,
 ) -> Iterator[DistanceMatrix]:
-    """Canonical point sets from cliques over signed scaled candidates.
+    """Canonical point sets from cliques over the signed vertices of classes.
 
-    ``verts`` holds (a, b, X, Y) with X = 2d*x and Y = 2d*y_coeff.  Pairwise
-    distances are capped at min(d, config.d_max): the base edge must stay
-    the diameter, so any longer pair belongs to a different base.
+    ``classes`` is one bucket of ``_candidate_groups``: sorted entries
+    (a, b, X, S) with X = 2d*x and S = 2d*|y_coeff| > 0, closed under the
+    reflection (a, b, X, S) -> (b, a, 2d^2 - X, S).  Vertex 2i is class i
+    below the base line (Y = -S) and vertex 2i + 1 is class i above it
+    (Y = S), so the vertices are in sorted (a, b, X, Y) order.  Bit v of
+    ``allowed`` says whether a clique may use vertex v.  Pairwise distances
+    are capped at min(d, config.d_max): the base edge must stay the
+    diameter, so any longer pair belongs to a different base.
 
-    A vertex's mirror partner (Y negated) and its reflection in the
-    perpendicular bisector of the base are found by lookup and may be
-    absent.  The depth-first search runs on an explicit stack of candidate
-    bitsets, lowest index first, so cliques come out in the order of an
-    ascending index scan.  The body is one generator with no nested
-    function: it holds no reference cycle, and a finished or closed stream
-    leaves nothing for the cyclic collector.  The module docstring
-    describes the stages.
+    The depth-first search runs on an explicit stack of candidate bitsets,
+    lowest index first, so cliques come out in the order of an ascending
+    index scan.  The body is one generator with no nested function: it
+    holds no reference cycle, and a finished or closed stream leaves
+    nothing for the cyclic collector.  The module docstring describes the
+    stages.
     """
     need = config.target_n - 2
     cap = min(d, config.d_max)
     edge_unit = 4 * d * d
     x2 = 2 * d * d
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
-    nv = len(verts)
+    nv = 2 * len(classes)
     general = config.require_general_position
-
-    mirrors: dict[tuple[int, int, int, int], list[tuple[int, bool]]] = {}
-    for v, (a, b, x, y) in enumerate(verts):
-        mirrors.setdefault((a, b, x, abs(y)), []).append((v, y > 0))
-    # Mirror partners lie 2|y|*sqrt(k) apart, irrational unless k is a
+    # Mirror partners lie 2S*sqrt(k) apart, irrational unless k is a
     # square, so then a clique holds at most one vertex of each class.
-    if (nv if math.isqrt(k) ** 2 == k else len(mirrors)) < need:
+    if (nv if math.isqrt(k) ** 2 == k else len(classes)) < need:
         return
 
     # The reflection R in the perpendicular bisector of the base maps class
-    # (a, b, X, |Y|) to (b, a, x2 - X, |Y|): it swaps the base points and
-    # keeps y signs and distances, so two classes are joined exactly when
-    # their images are.  `join` picks the member pairs by their signs, so an
-    # image whose members have other signs than its partner's is paired all
-    # the same.  `seq` holds each class next to its image, then the classes
-    # that R fixes, then those whose image is absent (only extend_cliques
-    # input has them).  An entry is (X, |Y|, k*Y^2, members, the image's
-    # members or None).
-    pairs, fixed, unpaired = [], [], []
-    for key, members in mirrors.items():
-        a, b, x, y = key
-        image_key = (b, a, x2 - x, y)
-        image = mirrors.get(image_key)
-        entry = (x, y, k * y * y, members, image)
-        if image_key == key:
-            fixed.append(entry)
-        elif image is None:
-            unpaired.append(entry)
-        elif key < image_key:
-            pairs += [entry, (x2 - x, y, k * y * y, image, members)]
-    seq = pairs + fixed + unpaired
+    # (a, b, X, S) to (b, a, x2 - X, S): it swaps the base points and keeps
+    # y signs and distances, so two classes are joined exactly when their
+    # images are.  `seq` holds each class next to its image, then the
+    # classes that R fixes.  An entry is (X, S, k*S^2, the class's index,
+    # its image's index).
+    position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
+    pairs, fixed = [], []
+    for i, (a, b, x, y) in enumerate(classes):
+        j = position[b, a]
+        if i == j:
+            fixed.append((x, y, k * y * y, i, i))
+        elif i < j:
+            pairs += [(x, y, k * y * y, i, j), (x2 - x, y, k * y * y, j, i)]
+    seq = pairs + fixed
 
     adj = [0] * nv
-    dist: dict[tuple[int, int], int] = {}
 
-    # One row per R orbit of classes: the first class of each pair, each
-    # fixed and each unpaired class.  A row tests the classes after it in
-    # `seq`, so each orbit of class pairs is tested once, and an edge
-    # between two classes with images also joins the images.  An unpaired
-    # class has no image to stand for it, so its row also tests the second
-    # class of every pair.
+    # One row per R orbit of classes: the first class of each pair and each
+    # fixed class.  A row tests the classes after it in `seq`, so each orbit
+    # of class pairs is tested once, and an edge also joins the images.
     for ci in chain(range(0, len(pairs), 2), range(len(pairs), len(seq))):
-        x, y, ky, members, image = seq[ci]
+        x, y, ky, i, image = seq[ci]
         later = seq[ci:]
-        if ci >= len(pairs) + len(fixed):
-            later += pairs[1::2]
-        mirror = image if ci < len(pairs) else None
         # Squared scaled distances from this class to every class in
         # `later`, with equal and with opposite signs of y (a class and
         # itself with opposite signs: the mirror pair).  An edge of length
@@ -429,43 +417,37 @@ def _clique_stream(
         sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _, _ in later]
         cross = [two_ky * yq for _, yq, _, _, _ in later]
         base_tests = None
-        for same_sign, n2s in (
-            (True, [s - c for s, c in zip(sums, cross)]),
-            (False, [s + c for s, c in zip(sums, cross)]),
+        for flip, n2s in (
+            (0, [s - c for s, c in zip(sums, cross)]),
+            (1, [s + c for s, c in zip(sums, cross)]),
         ):
             for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0 and n2]:
                 t2 = n2s[j] // edge_unit
                 t = math.isqrt(t2)
                 if t * t != t2 or t > cap:
                     continue
-                xq, yq, _, others, others_image = later[j]
+                xq, yq, _, iq, image_q = later[j]
                 if general:
                     if base_tests is None:
                         # q on one of these is collinear with a base point
                         # and p, or concyclic with both base points and p
                         p = (x * x + ky, x, y)
                         base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
-                    yq = yq if same_sign else -yq
+                    yq = -yq if flip else yq
                     if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
                         continue
-                # the edge joins the member pairs with the sign relation
-                # tested, in this class pair and in its image
-                for ps, qs in ((members, others), (mirror, others_image)):
-                    if ps is None or qs is None:
-                        continue
-                    for vp, up_p in ps:
-                        for vq, up_q in qs:
-                            if (up_p == up_q) == same_sign and vp != vq:
-                                adj[vp] |= 1 << vq
-                                adj[vq] |= 1 << vp
-                                dist[min(vp, vq), max(vp, vq)] = t
+                # the edge joins the vertices with the sign relation tested
+                # (flip 0: equal signs), in this class pair and in its image
+                for one, other in ((i, iq), (image, image_q)):
+                    for vp, vq in ((2 * one, 2 * other + flip), (2 * one + 1, 2 * other + 1 - flip)):
+                        adj[vp] |= 1 << vq
+                        adj[vq] |= 1 << vp
 
-    lifts = [(x * x + k * y * y, x, y) for _, _, x, y in verts]
+    lifts = [(x * x + k * y * y, x, y) for _, _, x, s in classes for y in (-s, s)]
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
-    # neighbours in it.  A vertex on the base line is collinear with the
-    # base points.
-    alive = sum(1 << v for v in range(nv) if verts[v][3] or not general)
+    # neighbours in it.
+    alive = allowed
     shrinking = True
     while shrinking:
         shrinking = False
@@ -497,11 +479,13 @@ def _clique_stream(
             rows = [[0] * n for _ in range(n)]
             rows[0][1] = rows[1][0] = d
             for ci, vi in enumerate(chosen):
-                a, b, _, _ = verts[vi]
+                a, b, _, _ = classes[vi >> 1]
                 rows[0][ci + 2] = rows[ci + 2][0] = a
                 rows[1][ci + 2] = rows[ci + 2][1] = b
+                _, x, y = lifts[vi]
                 for cj in range(ci + 1, need):
-                    t = dist[(vi, chosen[cj])]
+                    _, xq, yq = lifts[chosen[cj]]
+                    t = math.isqrt(((x - xq) ** 2 + k * (y - yq) ** 2) // edge_unit)
                     rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = t
             chosen.pop()
             canon, _ = canonical_form(DistanceMatrix(rows))
@@ -530,15 +514,6 @@ def _clique_stream(
         stack.append(cands)
 
 
-def _signed(raw: Iterable[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
-    verts = []
-    for a, b, x2d, s in raw:
-        verts.append((a, b, x2d, -s))
-        verts.append((a, b, x2d, s))
-    verts.sort()
-    return verts
-
-
 def extend_cliques(
     candidates: Sequence[CandidatePoint], base_d: int, config: SearchConfig
 ) -> Iterator[DistanceMatrix]:
@@ -546,9 +521,12 @@ def extend_cliques(
 
     Every emitted matrix has config.target_n points, passes the general
     position constraints, and is canonical; duplicates (mirror images,
-    base-pair swaps) are emitted once.  A candidate whose coordinates are
-    not at distances ``a`` and ``b`` from the base points raises
-    ``ValueError``.
+    base-pair swaps) are emitted once.  The candidates' classes (a, b, X, S)
+    are closed under the reflection (a, b) -> (b, a), as the search's are,
+    and the cliques use only the signed candidates given, so the candidates
+    of one key give the search's results in the search's order.  A
+    candidate whose coordinates are not at distances ``a`` and ``b`` from
+    the base points, or that lies on the base line, raises ``ValueError``.
     """
     if not candidates:
         return
@@ -557,7 +535,7 @@ def extend_cliques(
         raise ValueError("candidates must share one base and characteristic")
     k = ks.pop()
     x2 = 2 * base_d * base_d
-    verts = []
+    closure, given = set(), set()
     for c in candidates:
         x2d = c.x * 2 * base_d
         y2d = c.y_coeff * 2 * base_d
@@ -568,9 +546,14 @@ def extend_cliques(
         ky2 = k * y * y
         if x * x + ky2 != (2 * base_d * c.a) ** 2 or (x2 - x) ** 2 + ky2 != (2 * base_d * c.b) ** 2:
             raise ValueError(f"candidate {c} is not at distances a, b from the base points")
-        verts.append((c.a, c.b, x, y))
-    verts.sort()
-    yield from _clique_stream(base_d, k, verts, config)
+        if y == 0:
+            raise ValueError(f"candidate {c} lies on the base line")
+        closure |= {(c.a, c.b, x, abs(y)), (c.b, c.a, x2 - x, abs(y))}
+        given.add((c.a, c.b, x, y))
+    classes = sorted(closure)
+    vertices = [(a, b, x, y) for a, b, x, s in classes for y in (-s, s)]
+    allowed = sum(1 << v for v, vertex in enumerate(vertices) if vertex in given)
+    yield from _clique_stream(base_d, k, classes, allowed, config)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +654,7 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
                     continue
                 if (d, k) in done:
                     continue
-                yield from _clique_stream(d, k, _signed(groups[k]), config)
+                yield from _clique_stream(d, k, groups[k], (1 << 2 * len(groups[k])) - 1, config)
                 if log is not None:
                     log.write(b"%d %d\n" % (d, k))
                     log.flush()

@@ -333,6 +333,33 @@ class TestModsearchCommand:
         assert "budget" in err
 
 
+class TestPlainDecimalArguments:
+    # int() would read each of these as plain digits
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "3", "--dmax", "8", "--char", "1_5"],
+            ["search", "--n", "3", "--dmax", "8", "--char", "\u0661\u0665"],
+            ["search", "--n", "3", "--dmax", "8", "--char", "div:3_0"],
+            ["search", "--n", "3", "--dmax", "\u0668"],
+            ["search", "--n", "3", "--dmax", "8", "--shard", "0/1_0"],
+            ["search", "--n", "3", "--dmin", "+1", "--dmax", "8"],
+            ["search", "--n", " 3", "--dmax", "8"],
+            ["modsearch", "--modulus", "1_3"],
+            ["modsearch", "--modulus", "13", "--budget", "1_0"],
+        ],
+    )
+    def test_lenient_integer_exits_2(self, capsys, argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # rejected by argparse
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err
+
+
 class TestDeterminism:
     def test_search_output_stable(self, capsys):
         _, first, _ = run(capsys, "search", "--n", "4", "--dmin", "1", "--dmax", "15")

@@ -20,6 +20,7 @@ from intpoints.pointset import (
 )
 from intpoints.search import (
     _candidate_groups,
+    CandidatePoint,
     CharFilter,
     CheckpointError,
     SearchConfig,
@@ -275,6 +276,22 @@ class TestExtendCliques:
         with pytest.raises(ValueError, match="distances"):
             list(extend_cliques(cands, 8, SearchConfig(4, 1, 8)))
 
+    def test_base_line_candidate_rejected(self):
+        # at distances 3 and 5 from (0, 0) and (8, 0), but on the base line
+        point = CandidatePoint(8, 1, 3, 5, Fraction(3), Fraction(0))
+        with pytest.raises(ValueError, match="base line"):
+            list(extend_cliques(candidate_points(8, 1, 8) + [point], 8, SearchConfig(3, 1, 8)))
+
+    @pytest.mark.parametrize("d, k", [(17, 35), (24, 1), (27, 35), (32, 15)])
+    @pytest.mark.parametrize("general", [True, False])
+    def test_same_results_and_order_as_search(self, d, k, general):
+        cfg = SearchConfig(4, d, d, CharFilter.fixed(k), require_general_position=general)
+        expected = list(search(cfg))
+        assert len(expected) >= 2
+        cands = candidate_points(d, k, d)
+        assert list(extend_cliques(cands, d, cfg)) == expected
+        assert list(extend_cliques(cands + cands, d, cfg)) == expected
+
     def test_one_sign_of_each_candidate(self):
         cands = candidate_points(65, 1, 65)
         cfg = SearchConfig(4, 65, 65, CharFilter.fixed(1))
@@ -328,8 +345,8 @@ def assert_matches_brute_force(cands, d, k):
 class TestReflectedEdgeBuild:
     """The edge build tests one class pair of each orbit under the reflection
     (a, b) <-> (b, a) in the perpendicular bisector of the base, and joins
-    the images when both classes have one.  extend_cliques input need not be
-    closed under that reflection."""
+    the images.  extend_cliques input need not be closed under that
+    reflection: it builds the closure and uses only the candidates given."""
 
     @pytest.mark.parametrize(
         "d, k, seed", [(100, 1, 0), (65, 1, 1), (105, 1, 2), (120, 1, 3), (16, 15, 4)]
