@@ -35,13 +35,9 @@ from .pointset import (
     verify,
 )
 from .search import (
-    CandidatePoint,
     CharFilter,
     SearchConfig,
-    candidate_points,
     enumerate_triangles,
-    extend_cliques,
-    integral_pair_check,
     minimum_diameter,
     search,
 )
@@ -70,13 +66,9 @@ __all__ = [
     "pointset_characteristic",
     "triangle_characteristic",
     "verify",
-    "CandidatePoint",
     "CharFilter",
     "SearchConfig",
-    "candidate_points",
     "enumerate_triangles",
-    "extend_cliques",
-    "integral_pair_check",
     "minimum_diameter",
     "search",
 ]

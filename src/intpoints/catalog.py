@@ -19,7 +19,7 @@ class CatalogEntry:
 MIN_DIAMETERS = {3: 1, 4: 8, 5: 73, 6: 174, 7: 22270}
 
 # Product of the primes up to 29; the characteristic-restricted search
-# mode scans exactly the divisors of this bound.
+# mode admits exactly the characteristics dividing this bound.
 CHARACTERISTIC_SEARCH_BOUND = 6469693230
 CHARACTERISTIC_SEARCH_BOUND_FACTORS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -53,7 +53,7 @@ def entries() -> list[CatalogEntry]:
             "restricted_search_characteristic_bound",
             CHARACTERISTIC_SEARCH_BOUND,
             "= " + "*".join(str(p) for p in CHARACTERISTIC_SEARCH_BOUND_FACTORS)
-            + "; characteristic-restricted searches scan its divisors",
+            + "; characteristic-restricted searches admit exactly the characteristics dividing it",
         )
     )
     return out

@@ -18,7 +18,7 @@ ModPoint = tuple[int, int]
 class ModContext:
     """Precomputed structure for one modulus n >= 2.
 
-    ``squares`` is the full set of squares in Z_n (distance values allowed
+    ``squares`` is the full set of squares in Z_n (distance values admitted
     by the integral-distance test); ``radius_squares`` the values r^2 for
     r != 0 (admissible squared circle radii, may contain 0 for composite n).
     Line and circle incidence structures for the clique search are built

@@ -12,7 +12,7 @@ canonical form.
 
 Writing u = a + b and v = a - b turns the characteristic of (d, a, b)
 into the square-free part of (u^2 - d^2)(d^2 - v^2).  The square-free
-parts of u - d, u + d, d - v and d + v (all at most 3*d_max) come from one
+parts of u - d, u + d, d - v and d + v (all at most 3d) come from one
 cached table, so each half is two lookups and a gcd.  Both halves get the
 key the characteristic filter needs (kb itself for a fixed k, the part of
 kb prime to the bound for a divisor filter), and the v's are indexed by it
@@ -51,10 +51,9 @@ from array import array
 from bisect import bisect_right
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations
 from operator import floordiv, mul
-from typing import BinaryIO, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterator, Optional
 
 from .arith import decimal_int, squarefree_part
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
@@ -129,7 +128,6 @@ class CharFilter:
 
     @staticmethod
     def parse(text: str) -> "CharFilter":
-        text = text.strip()
         if text == "any":
             return CharFilter.any_char()
         if text.startswith("div:"):
@@ -181,27 +179,6 @@ class SearchConfig:
         return CharFilter.fixed(1) if self.cluster_mode else self.char_filter
 
 
-@dataclass(frozen=True)
-class CandidatePoint:
-    """A point at integral distances from both base points.
-
-    Lies at ``(x, y_coeff*sqrt(k))`` with distance ``a`` to p1 = (0,0) and
-    ``b`` to p2 = (d_base,0); the triangle (d_base, a, b) is strict with
-    characteristic exactly ``k``, so ``y_coeff != 0``.
-    """
-
-    d_base: int
-    k: int
-    a: int
-    b: int
-    x: Fraction
-    y_coeff: Fraction
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.y_coeff > 0 else -1
-
-
 # ---------------------------------------------------------------------------
 # triangle and candidate enumeration
 # ---------------------------------------------------------------------------
@@ -234,13 +211,14 @@ def enumerate_triangles(
 
 
 def _candidate_groups(
-    d: int, cap_ab: int, char_filter: CharFilter
+    d: int, char_filter: CharFilter
 ) -> dict[int, list[tuple[int, int, int, int]]]:
     """Raw candidates over base (0,0)-(d,0), grouped by characteristic.
 
     Each entry is ``(a, b, X, S)`` in coordinates scaled by 2d: the point is
-    ``(X/(2d), (S/(2d))*sqrt(k))`` before sign choice.  ``cap_ab`` bounds the
-    distances a, b to the base points.  Every bucket is sorted.
+    ``(X/(2d), (S/(2d))*sqrt(k))`` before sign choice, at distances a, b <= d
+    from the base points, so that the base edge is the diameter.  Every
+    bucket is sorted and closed under the reflection (a, b) -> (b, a).
 
     With u = a + b and v = a - b the characteristic k is the square-free
     part of ka*kb, where ka is that of u^2 - d^2 and kb that of d^2 - v^2;
@@ -260,15 +238,13 @@ def _candidate_groups(
     lookup each.  S is computed for admitted candidates only, as isqrt of
     the Heron product (u^2 - d^2)(d^2 - v^2) divided by k.
     """
-    sqf = _spf_sieve(max(3 * d, d + 2 * cap_ab))
+    sqf = _spf_sieve(3 * d)
     d2 = d * d
-    u_hi = 2 * cap_ab
     # square-free parts of d^2 - v^2 for v = 0..d-1 and of u^2 - d^2 for
-    # u = d+1..2*cap_ab, each from the parts of its two factors
+    # u = d+1..2d, each from the parts of its two factors
     v_parts = [p * q // math.gcd(p, q) ** 2 for p, q in zip(sqf[d:0:-1], sqf[d : 2 * d])]
     u_parts = [
-        p * q // math.gcd(p, q) ** 2
-        for p, q in zip(sqf[1 : u_hi - d + 1], sqf[2 * d + 1 : u_hi + d + 1])
+        p * q // math.gcd(p, q) ** 2 for p, q in zip(sqf[1 : d + 1], sqf[2 * d + 1 : 3 * d + 1])
     ]
     if char_filter.kind == "fixed":
         target = char_filter.value
@@ -293,9 +269,8 @@ def _candidate_groups(
     for i in [i for i, key in enumerate(u_keys) if key in index]:
         u, ka = d + 1 + i, u_parts[i]
         vs = index[u_keys[i]][u & 1]
-        vlim = min(d - 1, u - 2, u_hi - u)
         hu = u * u - d2
-        for v in vs[: bisect_right(vs, vlim)]:
+        for v in vs[: bisect_right(vs, 2 * d - u)]:  # a, b <= d
             kb = v_parts[v]
             k = ka * kb // math.gcd(ka, kb) ** 2
             s = math.isqrt(hu * (d2 - v * v) // k)
@@ -310,38 +285,6 @@ def _candidate_groups(
     return groups
 
 
-def candidate_points(d_base: int, k: int, d_max: int) -> list[CandidatePoint]:
-    """All candidate points with characteristic exactly ``k`` over the base.
-
-    Both y signs are emitted; points on the base line cannot occur because
-    the base triangle is strict.
-    """
-    if not (1 <= d_base <= d_max):
-        raise ValueError(f"need 1 <= d_base <= d_max, got {d_base}, {d_max}")
-    if k < 1 or squarefree_part(k) != k:
-        raise ValueError(f"characteristic must be square-free positive, got {k}")
-    raw = _candidate_groups(d_base, d_max, CharFilter.fixed(k)).get(k, [])
-    out = []
-    for a, b, x2d, s in raw:
-        x = Fraction(x2d, 2 * d_base)
-        q = Fraction(s, 2 * d_base)
-        out.append(CandidatePoint(d_base, k, a, b, x, -q))
-        out.append(CandidatePoint(d_base, k, a, b, x, q))
-    out.sort(key=lambda c: (c.a, c.b, c.y_coeff))
-    return out
-
-
-def integral_pair_check(p: CandidatePoint, q: CandidatePoint) -> Optional[int]:
-    """Integer distance between two candidates, or None when not integral."""
-    if p.d_base != q.d_base or p.k != q.k:
-        raise ValueError("candidates come from different bases or characteristics")
-    sq = (p.x - q.x) ** 2 + p.k * (p.y_coeff - q.y_coeff) ** 2
-    if sq.denominator != 1:
-        return None
-    root = math.isqrt(sq.numerator)
-    return root if root * root == sq.numerator else None
-
-
 # ---------------------------------------------------------------------------
 # clique extension
 # ---------------------------------------------------------------------------
@@ -351,7 +294,6 @@ def _clique_stream(
     d: int,
     k: int,
     classes: list[tuple[int, int, int, int]],
-    allowed: int,
     config: SearchConfig,
 ) -> Iterator[DistanceMatrix]:
     """Canonical point sets from cliques over the signed vertices of classes.
@@ -360,10 +302,9 @@ def _clique_stream(
     (a, b, X, S) with X = 2d*x and S = 2d*|y_coeff| > 0, closed under the
     reflection (a, b, X, S) -> (b, a, 2d^2 - X, S).  Vertex 2i is class i
     below the base line (Y = -S) and vertex 2i + 1 is class i above it
-    (Y = S), so the vertices are in sorted (a, b, X, Y) order.  Bit v of
-    ``allowed`` says whether a clique may use vertex v.  Pairwise distances
-    are capped at min(d, config.d_max): the base edge must stay the
-    diameter, so any longer pair belongs to a different base.
+    (Y = S), so the vertices are in sorted (a, b, X, Y) order.  Pairwise
+    distances are capped at d: the base edge must stay the diameter, so any
+    longer pair belongs to a different base.
 
     The depth-first search runs on an explicit stack of candidate bitsets,
     lowest index first, so cliques come out in the order of an ascending
@@ -373,7 +314,6 @@ def _clique_stream(
     stages.
     """
     need = config.target_n - 2
-    cap = min(d, config.d_max)
     edge_unit = 4 * d * d
     x2 = 2 * d * d
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
@@ -424,7 +364,7 @@ def _clique_stream(
             for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0 and n2]:
                 t2 = n2s[j] // edge_unit
                 t = math.isqrt(t2)
-                if t * t != t2 or t > cap:
+                if t * t != t2 or t > d:
                     continue
                 xq, yq, _, iq, image_q = later[j]
                 if general:
@@ -447,7 +387,7 @@ def _clique_stream(
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
     # neighbours in it.
-    alive = allowed
+    alive = (1 << nv) - 1
     shrinking = True
     while shrinking:
         shrinking = False
@@ -514,48 +454,6 @@ def _clique_stream(
         stack.append(cands)
 
 
-def extend_cliques(
-    candidates: Sequence[CandidatePoint], base_d: int, config: SearchConfig
-) -> Iterator[DistanceMatrix]:
-    """Grow candidate cliques over the base edge into full point sets.
-
-    Every emitted matrix has config.target_n points, passes the general
-    position constraints, and is canonical; duplicates (mirror images,
-    base-pair swaps) are emitted once.  The candidates' classes (a, b, X, S)
-    are closed under the reflection (a, b) -> (b, a), as the search's are,
-    and the cliques use only the signed candidates given, so the candidates
-    of one key give the search's results in the search's order.  A
-    candidate whose coordinates are not at distances ``a`` and ``b`` from
-    the base points, or that lies on the base line, raises ``ValueError``.
-    """
-    if not candidates:
-        return
-    ks = {c.k for c in candidates}
-    if len(ks) != 1 or any(c.d_base != base_d for c in candidates):
-        raise ValueError("candidates must share one base and characteristic")
-    k = ks.pop()
-    x2 = 2 * base_d * base_d
-    closure, given = set(), set()
-    for c in candidates:
-        x2d = c.x * 2 * base_d
-        y2d = c.y_coeff * 2 * base_d
-        if x2d.denominator != 1 or y2d.denominator != 1:
-            raise ValueError(f"candidate {c} is not valid over base {base_d}")
-        x, y = int(x2d), int(y2d)
-        # scaled by 2d, the distances to (0, 0) and (d, 0) are a and b
-        ky2 = k * y * y
-        if x * x + ky2 != (2 * base_d * c.a) ** 2 or (x2 - x) ** 2 + ky2 != (2 * base_d * c.b) ** 2:
-            raise ValueError(f"candidate {c} is not at distances a, b from the base points")
-        if y == 0:
-            raise ValueError(f"candidate {c} lies on the base line")
-        closure |= {(c.a, c.b, x, abs(y)), (c.b, c.a, x2 - x, abs(y))}
-        given.add((c.a, c.b, x, y))
-    classes = sorted(closure)
-    vertices = [(a, b, x, y) for a, b, x, s in classes for y in (-s, s)]
-    allowed = sum(1 << v for v, vertex in enumerate(vertices) if vertex in given)
-    yield from _clique_stream(base_d, k, classes, allowed, config)
-
-
 # ---------------------------------------------------------------------------
 # top-level search
 # ---------------------------------------------------------------------------
@@ -611,7 +509,7 @@ def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], 
             done = set()
             for number, text in lines[1:]:
                 try:
-                    d, k = map(int, text.split())
+                    d, k = map(decimal_int, text.split())
                 except ValueError:
                     raise CheckpointError(
                         f"checkpoint {path}, line {number}: expected 'd k', got {text!r}"
@@ -646,7 +544,7 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
     with log or nullcontext():
         counter = 0
         for d in range(config.d_min, config.d_max + 1):
-            groups = _candidate_groups(d, d, filt)
+            groups = _candidate_groups(d, filt)
             for k in sorted(groups):
                 key_index = counter
                 counter += 1
@@ -654,7 +552,7 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
                     continue
                 if (d, k) in done:
                     continue
-                yield from _clique_stream(d, k, groups[k], (1 << 2 * len(groups[k])) - 1, config)
+                yield from _clique_stream(d, k, groups[k], config)
                 if log is not None:
                     log.write(b"%d %d\n" % (d, k))
                     log.flush()

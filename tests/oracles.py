@@ -37,6 +37,28 @@ def naive_canonical(m: DistanceMatrix) -> tuple[DistanceMatrix, tuple[int, ...]]
     return m.permuted(best_perm), best_perm
 
 
+def naive_candidates(d: int) -> list:
+    """Every point at integral distances a, b <= d from (0,0) and (d,0) and
+    off the line through them, as (a, b, x, q, k) for the point
+    (x, q*sqrt(k)), both signs of q, by a scan of all (a, b) with exact
+    Fraction coordinates."""
+    from math import isqrt
+
+    cands = []
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            if a + b <= d:
+                continue
+            prod = (d + a + b) * (d + a - b) * (d - a + b) * (a + b - d)
+            k = sympy_squarefree_part(prod)
+            s = isqrt(prod // k)
+            x = Fraction(a * a + d * d - b * b, 2 * d)
+            q = Fraction(s, 2 * d)
+            cands.append((a, b, x, q, k))
+            cands.append((a, b, x, -q, k))
+    return cands
+
+
 def brute_force_point_sets(target_n: int, d_cap: int) -> set:
     """Every canonical general-position integral set of target_n points with
     diameter <= d_cap, by naive enumeration.
@@ -51,18 +73,7 @@ def brute_force_point_sets(target_n: int, d_cap: int) -> set:
 
     results = set()
     for d in range(1, d_cap + 1):
-        cands = []
-        for a in range(1, d + 1):
-            for b in range(1, d + 1):
-                if a + b <= d:
-                    continue
-                prod = (d + a + b) * (d + a - b) * (d - a + b) * (a + b - d)
-                k = sympy_squarefree_part(prod)
-                s = isqrt(prod // k)
-                x = Fraction(a * a + d * d - b * b, 2 * d)
-                q = Fraction(s, 2 * d)
-                cands.append((a, b, x, q, k))
-                cands.append((a, b, x, -q, k))
+        cands = naive_candidates(d)
 
         def pair_ok(c1, c2):
             if c1[4] != c2[4]:

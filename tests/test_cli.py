@@ -211,6 +211,21 @@ class TestSearchCommand:
         assert not out
         assert "line 3" in err
 
+    # int() reads each of these keys as (8, 1), which holds the only 4-set
+    # at d = 8: taking it as done would skip work that was never done
+    @pytest.mark.parametrize("key", ["+8 1", "0_8 1", "\u0668 1", "8 +1"])
+    def test_resume_lenient_key_exits_2(self, capsys, tmp_path, key):
+        ck = tmp_path / "ck"
+        ck.write_text(f"{HEADER_N4}\n{key}\n", encoding="utf-8")
+        before = ck.read_bytes()
+        rc, out, err = run(
+            capsys, "search", "--n", "4", "--dmin", "8", "--dmax", "8", "--resume", str(ck)
+        )
+        assert rc == 2
+        assert not out
+        assert "line 2" in err
+        assert ck.read_bytes() == before
+
     def test_resume_ignores_unterminated_last_line(self, capsys, tmp_path):
         # key (8, 1) holds the only 4-set at d = 8; a torn line must not mark it done
         ck = tmp_path / "ck"
@@ -341,6 +356,9 @@ class TestPlainDecimalArguments:
             ["search", "--n", "3", "--dmax", "8", "--char", "1_5"],
             ["search", "--n", "3", "--dmax", "8", "--char", "\u0661\u0665"],
             ["search", "--n", "3", "--dmax", "8", "--char", "div:3_0"],
+            ["search", "--n", "3", "--dmax", "8", "--char", " 15"],
+            ["search", "--n", "3", "--dmax", "8", "--char", "15 "],
+            ["search", "--n", "3", "--dmax", "8", "--char", " div:30"],
             ["search", "--n", "3", "--dmax", "\u0668"],
             ["search", "--n", "3", "--dmax", "8", "--shard", "0/1_0"],
             ["search", "--n", "3", "--dmin", "+1", "--dmax", "8"],

@@ -1,0 +1,42 @@
+"""The README's library quick tour runs and gives the values it states.
+
+Each expression line of the tour whose comment states a value, such as
+``verify(m).passed  # True``, is evaluated and its repr compared with the
+comment.  A name the package no longer has, or a changed result, fails
+here instead of leaving the README stale.
+"""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_tour() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library quick tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_quick_tour_runs_as_stated(capsys, heptagon1):
+    source = quick_tour()
+    lines = source.splitlines()
+    namespace = {}
+    stated, got = {}, {}
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(node, ast.Expr) and comment:
+            stated[code] = comment
+            got[code] = repr(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([node], []), str(README), "exec"), namespace)
+    assert got == stated
+    assert set(stated) == {
+        "verify(m).passed", "minimum_diameter(4, 20)", "mod_max_general_position(13).size"
+    }
+    # e = embed(m)  # p3 = (16/5, 12/5), radicand 1
+    e = namespace["e"]
+    assert (e.x(2), e.y_coeff(2), e.k) == (Fraction(16, 5), Fraction(12, 5), 1)
+    # print(found.rows)  # the unique heptagon at its diameter
+    assert capsys.readouterr().out == f"{heptagon1.rows}\n"

@@ -20,19 +20,16 @@ from intpoints.pointset import (
 )
 from intpoints.search import (
     _candidate_groups,
-    CandidatePoint,
+    _clique_stream,
     CharFilter,
     CheckpointError,
     SearchConfig,
-    candidate_points,
     enumerate_triangles,
-    extend_cliques,
-    integral_pair_check,
     minimum_diameter,
     search,
 )
 
-from .oracles import brute_force_point_sets, sympy_triangle_characteristic
+from .oracles import brute_force_point_sets, naive_candidates, sympy_triangle_characteristic
 
 # the package exports the function `search`, which hides the module's name
 search_module = importlib.import_module("intpoints.search")
@@ -110,31 +107,30 @@ class TestEnumerateTriangles:
 
 class TestCandidatePoints:
     def test_small_base(self):
-        cands = candidate_points(3, 3, 3)
-        coords = {(c.a, c.b, c.x, c.y_coeff) for c in cands}
-        assert (3, 3, Fraction(3, 2), Fraction(3, 2)) in coords
-        assert (3, 3, Fraction(3, 2), Fraction(-3, 2)) in coords
+        # (3/2, (3/2)*sqrt(3)) scaled by 2d = 6, the apex of the equilateral triangle
+        assert (3, 3, 9, 9) in _candidate_groups(3, CharFilter.fixed(3))[3]
 
     def test_characteristic_is_exact(self):
-        assert all(c.k == 5 for c in candidate_points(3, 5, 3))
-        assert not any(
-            (c.a, c.b) == (3, 3) for c in candidate_points(3, 5, 3)
-        )
+        for k in (2, 3, 5, 7, 35):
+            got = _candidate_groups(3, CharFilter.fixed(k))
+            assert set(got) <= {k}
+            assert ((3, 3) in {(a, b) for a, b, _, _ in got.get(k, [])}) == (k == 3)
 
     def test_heptagon_points_present(self, heptagon1):
         from intpoints.pointset import embed
 
         e = embed(heptagon1)
-        cands = candidate_points(22270, 2002, 22270)
-        coords = {(c.x, c.y_coeff) for c in cands}
+        d = 22270
+        bucket = _candidate_groups(d, CharFilter.fixed(2002))[2002]
+        coords = {(Fraction(x, 2 * d), Fraction(s, 2 * d)) for _, _, x, s in bucket}
         for i in range(2, 7):
-            assert (e.x(i), e.y_coeff(i)) in coords
+            assert (e.x(i), abs(e.y_coeff(i))) in coords
 
     def test_no_axis_candidates(self):
         for d in (3, 5, 12):
             for k in (1, 2, 3, 5):
-                for c in candidate_points(d, k, d):
-                    assert c.y_coeff != 0
+                for _, _, _, s in _candidate_groups(d, CharFilter.fixed(k)).get(k, []):
+                    assert s > 0
 
     def test_matches_naive_scan(self):
         # naive: scan all (a, b), accept strict triangles of the right characteristic
@@ -148,7 +144,7 @@ class TestCandidatePoints:
                         continue
                     if triangle_characteristic(d, a, b) == k:
                         expected.add((a, b))
-            got = {(c.a, c.b) for c in candidate_points(d, k, d)}
+            got = {(a, b) for a, b, _, _ in _candidate_groups(d, CharFilter.fixed(k)).get(k, [])}
             assert got == expected, (d, k)
 
 
@@ -166,12 +162,12 @@ class TestCandidateIndex:
         # 191 and 1009 are primes above 3*d for every d here
         bounds = (30, 2002, 6469693230, 30 * 191, 1009)
         for d in range(1, 61):
-            full = _candidate_groups(d, d, CharFilter.any_char())
+            full = _candidate_groups(d, CharFilter.any_char())
             for bound in bounds:
-                got = _candidate_groups(d, d, CharFilter.divisor_of(bound))
+                got = _candidate_groups(d, CharFilter.divisor_of(bound))
                 assert got == {k: v for k, v in full.items() if bound % k == 0}, (d, bound)
             for k in (1, 2, 3, 15, 2002, *sorted(full)[:3]):
-                got = _candidate_groups(d, d, CharFilter.fixed(k))
+                got = _candidate_groups(d, CharFilter.fixed(k))
                 assert got == ({k: full[k]} if k in full else {}), (d, k)
 
     def test_matches_naive_scan_oracle(self):
@@ -180,225 +176,171 @@ class TestCandidateIndex:
         # k*S^2 = (2d*y)^2 with y^2 = a^2 - x^2
         filters = [CharFilter.parse(f) for f in ("any", "div:30", "div:2002", "1", "2", "15")]
         for d in range(1, 41):
-            for cap in (d, d + 5):
-                scan = {}
-                for a in range(1, cap + 1):
-                    for b in range(1, cap + 1):
-                        if not abs(a - b) < d < a + b:
-                            continue
-                        k = sympy_triangle_characteristic(d, a, b)
-                        x = a * a - b * b + d * d
-                        ks2 = 4 * d * d * a * a - x * x
-                        s = math.isqrt(ks2 // k)
-                        assert k * s * s == ks2 and s > 0
-                        scan.setdefault(k, set()).add((a, b, x, s))
-                for filt in filters:
-                    got = _candidate_groups(d, cap, filt)
-                    assert all(bucket == sorted(bucket) for bucket in got.values())
-                    expected = {k: v for k, v in scan.items() if filt.admits(k)}
-                    assert {k: set(v) for k, v in got.items()} == expected, (d, cap, filt)
-                    assert sum(map(len, got.values())) == sum(map(len, expected.values()))
+            scan = {}
+            for a in range(1, d + 1):
+                for b in range(1, d + 1):
+                    if not abs(a - b) < d < a + b:
+                        continue
+                    k = sympy_triangle_characteristic(d, a, b)
+                    x = a * a - b * b + d * d
+                    ks2 = 4 * d * d * a * a - x * x
+                    s = math.isqrt(ks2 // k)
+                    assert k * s * s == ks2 and s > 0
+                    scan.setdefault(k, set()).add((a, b, x, s))
+            for filt in filters:
+                got = _candidate_groups(d, filt)
+                assert all(bucket == sorted(bucket) for bucket in got.values())
+                expected = {k: v for k, v in scan.items() if filt.admits(k)}
+                assert {k: set(v) for k, v in got.items()} == expected, (d, filt)
+                assert sum(map(len, got.values())) == sum(map(len, expected.values()))
 
-    def test_candidate_points_beyond_base(self):
-        # with d_max > d the distances to the base points may exceed d
-        from intpoints.pointset import triangle_characteristic
 
-        for d, k, d_max in ((6, 1, 9), (7, 15, 12), (10, 6, 17), (12, 2, 13)):
-            got = candidate_points(d, k, d_max)
-            expected = {
-                (a, b)
-                for a in range(1, d_max + 1)
-                for b in range(1, d_max + 1)
-                if abs(a - b) < d < a + b and triangle_characteristic(d, a, b) == k
-            }
-            assert {(c.a, c.b) for c in got} == expected, (d, k, d_max)
-            within = {(c.a, c.b, c.x, abs(c.y_coeff)) for c in got if max(c.a, c.b) <= d}
-            groups = _candidate_groups(d, d, CharFilter.any_char()).get(k, [])
-            assert within == {
-                (a, b, Fraction(x, 2 * d), Fraction(s, 2 * d)) for a, b, x, s in groups
-            }
+def scaled_square(k, p, q):
+    """(2d)^2 times the squared distance of the signed points p = (X, Y) and
+    q over a base of length d, which lie at (X/(2d), (Y/(2d))*sqrt(k))."""
+    return (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
 
 
 class TestIntegralPairCheck:
-    def test_heptagon_pairs(self, heptagon1):
-        cands = candidate_points(22270, 2002, 22270)
-        by_key = {(c.a, c.b, c.sign): c for c in cands}
+    """Integral and non-integral distances between signed index entries."""
+
+    def test_heptagon_pairs(self):
+        d, k = 22270, 2002
+        bucket = _candidate_groups(d, CharFilter.fixed(k))[k]
+        by_key = {(a, b, sign): (x, sign * s) for a, b, x, s in bucket for sign in (1, -1)}
         p4 = by_key[(16637, 11397, 1)]
         p6 = by_key[(8908, 20698, 1)]
-        assert integral_pair_check(p4, p6) == 11135
+        assert scaled_square(k, p4, p6) == (2 * d * 11135) ** 2
         p3 = by_key[(22098, 21488, 1)]
         p7 = by_key[(8636, 13746, -1)]
-        assert integral_pair_check(p3, p7) == 20066
+        assert scaled_square(k, p3, p7) == (2 * d * 20066) ** 2
 
     def test_mirror_chord_not_integral(self):
-        cands = candidate_points(3, 3, 3)
-        up = next(c for c in cands if (c.a, c.b, c.sign) == (3, 3, 1))
-        down = next(c for c in cands if (c.a, c.b, c.sign) == (3, 3, -1))
-        # squared chord = k*(2q)^2 = 27, not a perfect square
-        assert integral_pair_check(up, down) is None
+        # the only class at d = 3, k = 3 is the apex of the equilateral
+        # triangle; its mirror chord has squared length k*(2q)^2 = 27
+        [(_, _, x, s)] = _candidate_groups(3, CharFilter.fixed(3))[3]
+        assert scaled_square(3, (x, s), (x, -s)) == 36 * 27
+        relaxed = SearchConfig(4, 3, 3, CharFilter.fixed(3), require_general_position=False)
+        assert list(search(relaxed)) == []
 
-    def test_mismatched_bases_rejected(self):
-        c1 = candidate_points(3, 3, 3)[0]
-        c2 = candidate_points(4, 15, 4)[0]
-        with pytest.raises(ValueError):
-            integral_pair_check(c1, c2)
+
+def set_characteristics(m):
+    """The characteristics of the non-degenerate triangles of a set (with
+    general position off, some triangles of a set may be degenerate)."""
+    triangles = [
+        (m.rows[i][j], m.rows[i][l], m.rows[j][l]) for i, j, l in combinations(range(m.n), 3)
+    ]
+    return {sympy_triangle_characteristic(*t) for t in triangles} - {0}
 
 
 class TestExtendCliques:
+    """The clique stage on one bucket of the candidate index."""
+
     def test_triangles_from_single_candidates(self):
-        cands = candidate_points(4, 15, 4)
         cfg = SearchConfig(3, 4, 4, CharFilter.fixed(15))
-        out = list(extend_cliques(cands, 4, cfg))
+        out = list(_clique_stream(4, 15, _candidate_groups(4, CharFilter.fixed(15))[15], cfg))
+        assert out
         assert all(m.n == 3 for m in out)
         assert all(pointset_characteristic(m) == 15 for m in out)
         assert len(out) == len({m.rows for m in out})
 
     def test_heptagon_rediscovered(self, heptagon1):
-        cands = candidate_points(22270, 2002, 22270)
+        bucket = _candidate_groups(22270, CharFilter.fixed(2002))[2002]
         cfg = SearchConfig(7, 22270, 22270, CharFilter.fixed(2002))
-        out = list(extend_cliques(cands, 22270, cfg))
-        assert out == [heptagon1]
+        assert list(_clique_stream(22270, 2002, bucket, cfg)) == [heptagon1]
 
     def test_shuffled_candidates_same_results(self):
-        cands = candidate_points(16, 15, 16)
-        cfg = SearchConfig(4, 16, 16, CharFilter.fixed(15))
-        baseline = {m.rows for m in extend_cliques(cands, 16, cfg)}
-        shuffled = list(cands)
-        random.Random(3).shuffle(shuffled)
-        assert {m.rows for m in extend_cliques(shuffled, 16, cfg)} == baseline
-
-    @pytest.mark.parametrize("field", ["a", "b"])
-    def test_candidate_off_its_distances_rejected(self, field):
-        # coordinates kept, one distance to a base point made wrong: the
-        # point is not at distances a, b, so no set may be built from it
-        cands = candidate_points(8, 1, 8)
-        cands[0] = replace(cands[0], **{field: getattr(cands[0], field) + 1})
-        with pytest.raises(ValueError, match="distances"):
-            list(extend_cliques(cands, 8, SearchConfig(4, 1, 8)))
-
-    def test_base_line_candidate_rejected(self):
-        # at distances 3 and 5 from (0, 0) and (8, 0), but on the base line
-        point = CandidatePoint(8, 1, 3, 5, Fraction(3), Fraction(0))
-        with pytest.raises(ValueError, match="base line"):
-            list(extend_cliques(candidate_points(8, 1, 8) + [point], 8, SearchConfig(3, 1, 8)))
+        # the class order fixes only the order of the output; shuffled, the
+        # row class of a reflection pair may be either of its two classes
+        bucket = _candidate_groups(65, CharFilter.fixed(1))[1]
+        cfg = SearchConfig(5, 65, 65, CharFilter.fixed(1), require_general_position=False)
+        baseline = {m.rows for m in _clique_stream(65, 1, bucket, cfg)}
+        assert len(baseline) == 26
+        for seed in range(4):
+            shuffled = list(bucket)
+            random.Random(seed).shuffle(shuffled)
+            assert {m.rows for m in _clique_stream(65, 1, shuffled, cfg)} == baseline
 
     @pytest.mark.parametrize("d, k", [(17, 35), (24, 1), (27, 35), (32, 15)])
     @pytest.mark.parametrize("general", [True, False])
     def test_same_results_and_order_as_search(self, d, k, general):
+        # the bucket of the unfiltered index gives what the filtered search
+        # emits, and the unfiltered search emits it in the same order
         cfg = SearchConfig(4, d, d, CharFilter.fixed(k), require_general_position=general)
         expected = list(search(cfg))
         assert len(expected) >= 2
-        cands = candidate_points(d, k, d)
-        assert list(extend_cliques(cands, d, cfg)) == expected
-        assert list(extend_cliques(cands + cands, d, cfg)) == expected
-
-    def test_one_sign_of_each_candidate(self):
-        cands = candidate_points(65, 1, 65)
-        cfg = SearchConfig(4, 65, 65, CharFilter.fixed(1))
-        full = {m.rows for m in extend_cliques(cands, 65, cfg)}
-        for sign in (1, -1):
-            half = list(extend_cliques([c for c in cands if c.sign == sign], 65, cfg))
-            assert half
-            for m in half:
-                assert verify(m).passed
-                assert m.rows in full
+        bucket = _candidate_groups(d, CharFilter.any_char())[k]
+        assert list(_clique_stream(d, k, bucket, cfg)) == expected
+        unfiltered = search(replace(cfg, char_filter=CharFilter.any_char()))
+        assert [m for m in unfiltered if set_characteristics(m) == {k}] == expected
 
 
-def brute_force_cliques(cands, d, n, general):
-    """Canonical rows of every set of the base points and n - 2 of ``cands``
-    at pairwise integral distances at most d (in general position when
-    ``general``), by enumerating all subsets."""
+def brute_force_cliques(d, k, n):
+    """Canonical rows of every set of the base points and n - 2 naive
+    candidates at pairwise integral distances at most d, by enumerating all
+    subsets, each with whether it is in general position."""
+    cands = [c for c in naive_candidates(d) if c[4] == k]
     dist = {}
     for i, j in combinations(range(len(cands)), 2):
-        t = integral_pair_check(cands[i], cands[j])
-        if t and t <= d:
+        sq = (cands[i][2] - cands[j][2]) ** 2 + k * (cands[i][3] - cands[j][3]) ** 2
+        t = math.isqrt(sq.numerator)
+        if sq.denominator == 1 and t * t == sq.numerator and t <= d:
             dist[i, j] = t
-    found = set()
+    found = {}
     for chosen in combinations(range(len(cands)), n - 2):
         if not all(pair in dist for pair in combinations(chosen, 2)):
             continue
         rows = [[0] * n for _ in range(n)]
         rows[0][1] = rows[1][0] = d
         for ci, i in enumerate(chosen):
-            rows[0][ci + 2] = rows[ci + 2][0] = cands[i].a
-            rows[1][ci + 2] = rows[ci + 2][1] = cands[i].b
+            rows[0][ci + 2] = rows[ci + 2][0] = cands[i][0]
+            rows[1][ci + 2] = rows[ci + 2][1] = cands[i][1]
         for (ci, i), (cj, j) in combinations(enumerate(chosen), 2):
             rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = dist[i, j]
         m, _ = canonical_form(DistanceMatrix(rows))
-        if not general or verify(m).passed:
-            found.add(m.rows)
+        found[m.rows] = verify(m).passed
     return found
 
 
-def assert_matches_brute_force(cands, d, k):
-    found = 0
+def assert_matches_brute_force(d, k):
+    emitted = 0
     for n in (4, 5):
+        brute = brute_force_cliques(d, k, n)
         for general in (True, False):
             cfg = SearchConfig(n, d, d, CharFilter.fixed(k), require_general_position=general)
-            out = [m.rows for m in extend_cliques(cands, d, cfg)]
+            out = [m.rows for m in search(cfg)]
             assert len(out) == len(set(out))
-            assert set(out) == brute_force_cliques(cands, d, n, general), (d, k, n, general)
-            found += len(out)
-    assert found
+            expected = {rows for rows, passed in brute.items() if passed or not general}
+            assert set(out) == expected, (d, k, n, general)
+            emitted += len(out)
+    assert emitted
 
 
 class TestReflectedEdgeBuild:
     """The edge build tests one class pair of each orbit under the reflection
     (a, b) <-> (b, a) in the perpendicular bisector of the base, and joins
-    the images.  extend_cliques input need not be closed under that
-    reflection: it builds the closure and uses only the candidates given."""
+    the images.  Checked against cliques of naively scanned candidates."""
 
-    @pytest.mark.parametrize(
-        "d, k, seed", [(100, 1, 0), (65, 1, 1), (105, 1, 2), (120, 1, 3), (16, 15, 4)]
-    )
-    def test_subsets_not_closed_under_reflection(self, d, k, seed):
-        rng = random.Random(seed)
-        cands = candidate_points(d, k, d)
-        by_class = {}
-        for c in cands:
-            by_class.setdefault((c.a, c.b), []).append(c)
-        subset, unpaired, opposite = [], 0, 0
-        for (a, b), members in by_class.items():
-            if a == b:
-                subset += members
-                continue
-            if a > b:
-                continue
-            image = by_class[b, a]
-            roll = rng.random()
-            if roll < 0.3:  # the image is absent
-                subset += members
-                unpaired += 1
-            elif roll < 0.6:  # the image is present with the other sign only
-                up = [c for c in members if c.sign == 1]
-                down = [c for c in image if c.sign == -1]
-                subset += up + down
-                opposite += 1
-            else:
-                subset += members + image
-        assert unpaired and opposite
-        rng.shuffle(subset)
-        assert_matches_brute_force(subset, d, k)
+    @pytest.mark.parametrize("d, k", [(100, 1), (65, 1), (105, 1), (120, 1), (16, 15)])
+    def test_matches_brute_force(self, d, k):
+        assert_matches_brute_force(d, k)
 
     def test_square_k_mirror_partners_adjacent(self):
         # at d = 48 and k = 1 the two mirror partners of each of the classes
         # (25, 25), (26, 26), (30, 30), (29, 35) and (35, 29) are an
         # integral distance 2|y| <= d apart: an edge within one class
         d = 48
-        cands = candidate_points(d, 1, d)
-        assert_matches_brute_force(cands, d, 1)
+        assert_matches_brute_force(d, 1)
         relaxed = SearchConfig(4, d, d, CharFilter.fixed(1), require_general_position=False)
+        found = list(search(relaxed))
         adjacent = set()
-        for c in cands:
-            chord = 2 * c.y_coeff
-            if c.sign == 1 and chord.denominator == 1 and chord <= d:
+        for a, b, _, q, k in naive_candidates(d):
+            chord = 2 * q
+            if k == 1 and q > 0 and chord.denominator == 1 and chord <= d:
                 t = int(chord)
-                rows = ((0, d, c.a, c.a), (d, 0, c.b, c.b), (c.a, c.b, 0, t), (c.a, c.b, t, 0))
-                mirror_set = canonical_form(DistanceMatrix(rows))[0]
-                # the class with its image, or alone when it is its own image
-                group = [e for e in cands if {e.a, e.b} == {c.a, c.b}]
-                assert mirror_set in list(extend_cliques(group, d, relaxed))
-                adjacent.add((c.a, c.b))
+                rows = ((0, d, a, a), (d, 0, b, b), (a, b, 0, t), (a, b, t, 0))
+                assert canonical_form(DistanceMatrix(rows))[0] in found
+                adjacent.add((a, b))
         assert {(25, 25), (26, 26), (30, 30), (29, 35), (35, 29)} <= adjacent
 
 
@@ -438,11 +380,9 @@ class TestSearch:
 
     def test_divisor_lookup_path_matches_scan(self):
         # the divisor filter's rough-part lookup against the unfiltered groups
-        from intpoints.search import _candidate_groups
-
         for d in (10, 17, 25, 40):
-            lookup = _candidate_groups(d, d, CharFilter.divisor_of(30))
-            full = _candidate_groups(d, d, CharFilter.any_char())
+            lookup = _candidate_groups(d, CharFilter.divisor_of(30))
+            full = _candidate_groups(d, CharFilter.any_char())
             assert lookup == {k: v for k, v in full.items() if 30 % k == 0}, d
 
     def test_cluster_mode_only_char1(self):
