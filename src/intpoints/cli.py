@@ -131,7 +131,6 @@ def cmd_search(args) -> int:
             d_min=args.dmin,
             d_max=args.dmax,
             char_filter=char_filter,
-            cluster_mode=args.cluster,
             shard=shard,
         )
     except ValueError as exc:
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmin", type=decimal_int, default=1)
     p.add_argument("--dmax", type=decimal_int, required=True)
     p.add_argument("--char", default="any", help="characteristic filter: any, K, or div:K")
-    p.add_argument("--cluster", action="store_true", help="restrict to characteristic 1")
     p.add_argument("--shard", default=None, help="process only shard i of t, as i/t")
     p.add_argument("--resume", default=None, metavar="CHECKPOINT",
                    help="checkpoint file: a header with --n, then completed 'd k' keys; "

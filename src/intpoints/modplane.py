@@ -37,19 +37,6 @@ class ModContext:
     def reduce(self, p: ModPoint) -> ModPoint:
         return (p[0] % self.n, p[1] % self.n)
 
-    def circle_points(self, a: int, b: int, r: int) -> frozenset[ModPoint]:
-        """All points of the circle with center (a, b) and radius r != 0."""
-        n = self.n
-        if r % n == 0:
-            raise ValueError("circle radius must be nonzero")
-        rr = (r * r) % n
-        return frozenset(
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if ((x - a) ** 2 + (y - b) ** 2) % n == rr
-        )
-
     # -- lazy incidence structures for the search --------------------------
 
     def line_masks(self) -> list[int]:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .arith import decimal_int, merge_squarefree, rational_perfect_square, squarefree_decompose
@@ -77,7 +78,12 @@ class DistanceMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in rows))
+        # index(), not int(): a float or a string is no integer distance
+        try:
+            rows = tuple(tuple(map(index, r)) for r in rows)
+        except TypeError as exc:
+            raise InvalidDistanceMatrix(f"not a matrix of integers: {exc}") from None
+        object.__setattr__(self, "rows", rows)
         check_matrix_shape(self.rows)
 
     @property

@@ -84,12 +84,6 @@ def _spf_sieve(limit: int) -> array:
     return _SQF
 
 
-def _sqf_mul(m: int, n: int) -> int:
-    """Square-free part of m*n for square-free m and n."""
-    g = math.gcd(m, n)
-    return (m // g) * (n // g)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -141,13 +135,6 @@ class CharFilter:
             return k == self.value
         return self.value % k == 0
 
-    def __str__(self):
-        if self.kind == "any":
-            return "any"
-        if self.kind == "fixed":
-            return str(self.value)
-        return f"div:{self.value}"
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -158,7 +145,6 @@ class SearchConfig:
     d_max: int
     char_filter: CharFilter = field(default_factory=CharFilter.any_char)
     require_general_position: bool = True
-    cluster_mode: bool = False
     shard: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
@@ -169,14 +155,6 @@ class SearchConfig:
         index, total = self.shard
         if total < 1 or not (0 <= index < total):
             raise ValueError(f"invalid shard {self.shard}")
-        if self.cluster_mode and self.char_filter.kind == "fixed" and self.char_filter.value != 1:
-            raise ValueError(
-                f"cluster mode needs characteristic 1, conflicting filter {self.char_filter}"
-            )
-
-    def effective_filter(self) -> CharFilter:
-        """Cluster mode pins the characteristic to 1 (integral-coordinate sets)."""
-        return CharFilter.fixed(1) if self.cluster_mode else self.char_filter
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +162,17 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_triangles(
-    d_max: int, char_filter: Optional[CharFilter] = None
-) -> Iterator[tuple[int, int, int]]:
+def enumerate_triangles(d_max: int) -> Iterator[tuple[int, int, int]]:
     """All integer triangles a >= b >= c with a <= d_max, strict inequalities.
 
-    Streamed in lexicographically decreasing (a, b, c) order, optionally
-    filtered by characteristic.
+    Streamed in lexicographically decreasing (a, b, c) order.  The triangles
+    (d, a, b) of one characteristic filter come from ``_candidate_groups``.
     """
     if d_max < 1:
         raise ValueError(f"d_max must be >= 1, got {d_max}")
-    filt = char_filter or CharFilter.any_char()
-    sqf = _spf_sieve(3 * d_max) if filt.kind != "any" else None
     for a in range(d_max, 0, -1):
         for b in range(a, 0, -1):
-            lo = max(1, a - b + 1)
-            for c in range(b, lo - 1, -1):
-                if sqf is not None:
-                    k = _sqf_mul(
-                        _sqf_mul(sqf[a + b + c], sqf[a + b - c]),
-                        _sqf_mul(sqf[a - b + c], sqf[b + c - a]),
-                    )
-                    if not filt.admits(k):
-                        continue
+            for c in range(b, a - b, -1):  # c > a - b >= 0
                 yield a, b, c
 
 
@@ -478,8 +444,7 @@ def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], 
     runs again and the next append starts a line of its own.
     """
     # A key's records depend on these settings alone: the characteristic
-    # filter, cluster mode and shard only choose keys, so a resume may
-    # change them.
+    # filter and the shard only choose keys, so a resume may change them.
     general = "on" if config.require_general_position else "off"
     settings = f"n={config.target_n} general_position={general}"
     with ExitStack() as stack:
@@ -538,13 +503,12 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
     that cannot be opened or parsed, or that was written with another size
     or general-position setting, raises ``CheckpointError`` first.
     """
-    filt = config.effective_filter()
     shard_index, shard_total = config.shard
     done, log = _open_checkpoint(checkpoint, config) if checkpoint else (set(), None)
     with log or nullcontext():
         counter = 0
         for d in range(config.d_min, config.d_max + 1):
-            groups = _candidate_groups(d, filt)
+            groups = _candidate_groups(d, config.char_filter)
             for k in sorted(groups):
                 key_index = counter
                 counter += 1
@@ -562,10 +526,9 @@ def minimum_diameter(
     target_n: int, d_cap: int, char_filter: Optional[CharFilter] = None
 ) -> Optional[int]:
     """Smallest diameter up to ``d_cap`` admitting a general-position set."""
+    if d_cap < 1:
+        return None
     filt = char_filter or CharFilter.any_char()
-    for d in range(1, d_cap + 1):
-        cfg = SearchConfig(target_n=target_n, d_min=d, d_max=d, char_filter=filt)
-        for _ in search(cfg):
-            return d
-    return None
+    first = next(search(SearchConfig(target_n, 1, d_cap, filt)), None)
+    return None if first is None else first.diameter()
 

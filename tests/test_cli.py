@@ -174,12 +174,6 @@ class TestSearchCommand:
         assert rc == 2
         assert "square-free" in err
 
-    def test_conflicting_cluster_flag_exits_2(self, capsys):
-        rc, _, err = run(
-            capsys, "search", "--n", "4", "--dmax", "10", "--char", "3", "--cluster"
-        )
-        assert rc == 2
-
     def test_bad_shard_exits_2(self, capsys):
         rc, _, err = run(capsys, "search", "--n", "4", "--dmax", "10", "--shard", "nope")
         assert rc == 2
@@ -399,6 +393,13 @@ class TestDeterminism:
             rc, out, _ = run(capsys, "search", *argv)
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_search_char_1_pinned(self, capsys):
+        # characteristic 1: the integral-coordinate cluster candidates
+        rc, out, _ = run(capsys, "search", "--n", "4", "--dmax", "60", "--char", "1")
+        assert rc == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "d2dca5f4a51cf16dbadf037eb9c7b78ae56bf256768fff971b12796b33d4d5ad"
 
     def test_search_rows_pinned_general_position_off(self):
         # the CLI always requires general position; with it off the DFS

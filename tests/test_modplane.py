@@ -26,11 +26,6 @@ class TestModContext:
         with pytest.raises(ValueError):
             ModContext(1)
 
-    def test_circle_points(self):
-        ctx = ModContext(5)
-        circle = ctx.circle_points(0, 0, 1)
-        assert {(1, 0), (0, 1), (4, 0), (0, 4)} <= circle
-
 
 class TestIntegralDistance:
     def test_three_four_five(self):

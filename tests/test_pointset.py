@@ -157,6 +157,22 @@ class TestVerify:
         assert not report.passed
         assert not report.symmetric_positive.passed
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # int() would truncate these to the 5-4-3 right triangle
+            [[0, 5.9, 4.2], [5.9, 0, 3.7], [4.2, 3.7, 0]],
+            [["0", "5", "4"], ["5", "0", "3"], ["4", "3", "0"]],
+        ],
+        ids=["float", "str"],
+    )
+    def test_non_integer_entries_reported(self, rows):
+        with pytest.raises(InvalidDistanceMatrix, match=type(rows[0][1]).__name__):
+            DistanceMatrix(rows)
+        report = verify(rows)
+        assert not report.passed
+        assert not report.symmetric_positive.passed
+
     def test_square_is_concyclic(self):
         # 3-4-5 style square with diagonal 5: (0,0),(3,0)... use integer square x5
         # scaled square: side 4, diagonal not integral -> use a rectangle 3x4

@@ -65,19 +65,10 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(4, 1, 10, shard=(3, 2))
 
-    def test_cluster_mode_conflicts(self):
-        with pytest.raises(ValueError):
-            SearchConfig(4, 1, 10, char_filter=CharFilter.fixed(3), cluster_mode=True)
-        cfg = SearchConfig(4, 1, 10, cluster_mode=True)
-        assert cfg.effective_filter() == CharFilter.fixed(1)
-
 
 class TestEnumerateTriangles:
     def test_small(self):
         assert list(enumerate_triangles(2)) == [(2, 2, 2), (2, 2, 1), (1, 1, 1)]
-
-    def test_char_filtered(self):
-        assert list(enumerate_triangles(2, CharFilter.fixed(3))) == [(2, 2, 2), (1, 1, 1)]
 
     def test_single(self):
         assert list(enumerate_triangles(1)) == [(1, 1, 1)]
@@ -385,10 +376,6 @@ class TestSearch:
             full = _candidate_groups(d, CharFilter.any_char())
             assert lookup == {k: v for k, v in full.items() if 30 % k == 0}, d
 
-    def test_cluster_mode_only_char1(self):
-        out = list(search(SearchConfig(4, 1, 40, cluster_mode=True)))
-        assert all(pointset_characteristic(m) == 1 for m in out)
-
     def test_sharding_partitions_results(self):
         cfg = SearchConfig(4, 1, 20)
         full = {m.rows for m in search(cfg)}
@@ -466,6 +453,11 @@ class TestMinimumDiameter:
 
     def test_absent(self):
         assert minimum_diameter(7, 12) is None
+        assert minimum_diameter(4, 0) is None
+
+    def test_filtered(self):
+        assert minimum_diameter(4, 60, CharFilter.fixed(15)) == 22
+        assert minimum_diameter(5, 100, CharFilter.divisor_of(6469693230)) == 73
 
 
 @pytest.mark.slow
