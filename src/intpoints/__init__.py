@@ -5,12 +5,7 @@ integer distances, no three on a line and no four on a circle, plus the
 relaxed analogue over Z_n x Z_n.
 """
 
-from .arith import (
-    integer_sqrt,
-    rational_perfect_square,
-    squarefree_decompose,
-    squarefree_part,
-)
+from .arith import squarefree_part
 from .modplane import (
     ModContext,
     ModSearchResult,
@@ -43,9 +38,6 @@ from .search import (
 )
 
 __all__ = [
-    "integer_sqrt",
-    "rational_perfect_square",
-    "squarefree_decompose",
     "squarefree_part",
     "ModContext",
     "ModSearchResult",

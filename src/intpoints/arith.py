@@ -1,13 +1,13 @@
-"""Exact integer and rational arithmetic.
+"""Exact integer arithmetic: strict decimal parsing, factorization and
+square-free parts.
 
-Everything in this package computes with unbounded integers and
-:class:`fractions.Fraction` rationals.  No floating point anywhere.
+Unbounded integers only; there is no floating point anywhere in the
+package.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -21,37 +21,6 @@ def decimal_int(text: str) -> int:
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(f"{text!r} is not a plain decimal integer")
     return int(text)
-
-
-def integer_sqrt(n: int) -> tuple[int, bool]:
-    """Floor square root of ``n`` plus a perfect-square flag.
-
-    Returns ``(r, exact)`` with ``r = floor(sqrt(n))`` and
-    ``exact`` true iff ``r*r == n``.  Raises ValueError for ``n < 0``.
-    """
-    if n < 0:
-        raise ValueError(f"integer_sqrt of negative number {n}")
-    r = math.isqrt(n)
-    return r, r * r == n
-
-
-def rational_perfect_square(q: Fraction) -> tuple[Fraction, bool]:
-    """Exact square root of a non-negative rational, if one exists.
-
-    ``q`` is a square of a rational iff its reduced numerator and
-    denominator are both perfect squares.  Returns ``(root, True)``
-    with ``root >= 0`` in that case and ``(0, False)`` otherwise.
-    """
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError(f"rational_perfect_square of negative number {q}")
-    rn, okn = integer_sqrt(q.numerator)
-    if not okn:
-        return Fraction(0), False
-    rd, okd = integer_sqrt(q.denominator)
-    if not okd:
-        return Fraction(0), False
-    return Fraction(rn, rd), True
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +112,8 @@ def factorize(n: int) -> dict[int, int]:
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        r, exact = integer_sqrt(m)
-        if exact:
+        r = math.isqrt(m)
+        if r * r == m:
             rest += [r, r]
             continue
         d = _pollard_rho(m)
@@ -152,29 +121,12 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write ``n = m * s**2`` with ``m`` square-free; returns ``(m, s)``."""
+def squarefree_part(n: int) -> int:
+    """The unique square-free ``m`` with ``n = m * s**2``, for ``n >= 1``."""
     if n < 1:
-        raise ValueError(f"squarefree_decompose requires n >= 1, got {n}")
-    m, s = 1, 1
+        raise ValueError(f"squarefree_part requires n >= 1, got {n}")
+    m = 1
     for p, e in factorize(n).items():
         if e % 2:
             m *= p
-        s *= p ** (e // 2)
-    return m, s
-
-
-def squarefree_part(n: int) -> int:
-    """The unique square-free ``m`` with ``n = m * s**2``, for ``n >= 1``."""
-    return squarefree_decompose(n)[0]
-
-
-def merge_squarefree(k1: int, s1: int, k2: int, s2: int) -> tuple[int, int]:
-    """Square-free decomposition of a product from those of its factors.
-
-    Given ``x = k1*s1**2`` and ``y = k2*s2**2`` with ``k1, k2`` square-free,
-    ``x*y = k*s**2`` where ``k = k1*k2/g**2`` and ``s = s1*s2*g`` for
-    ``g = gcd(k1, k2)``.  Avoids refactoring the (possibly huge) product.
-    """
-    g = math.gcd(k1, k2)
-    return (k1 // g) * (k2 // g), s1 * s2 * g
+    return m

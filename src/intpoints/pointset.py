@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import index
 from typing import Iterable, Optional, Sequence
 
-from .arith import decimal_int, merge_squarefree, rational_perfect_square, squarefree_decompose
+from .arith import decimal_int, squarefree_part
 
 
 class PointSetError(Exception):
@@ -78,8 +78,12 @@ class DistanceMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        # index(), not int(): a float or a string is no integer distance
+        # index(), not int(): a float or a string is no integer distance;
+        # nor is a bool, which index() would turn into 0 or 1
         try:
+            rows = [tuple(r) for r in rows]
+            if any(bool in map(type, r) for r in rows):
+                raise TypeError("a bool is not a distance")
             rows = tuple(tuple(map(index, r)) for r in rows)
         except TypeError as exc:
             raise InvalidDistanceMatrix(f"not a matrix of integers: {exc}") from None
@@ -160,17 +164,18 @@ def _heron_factors(a: int, b: int, c: int) -> tuple[int, int, int, int]:
     return (a + b + c, a + b - c, a - b + c, -a + b + c)
 
 
-def _heron_decompose(a: int, b: int, c: int) -> tuple[int, int]:
-    """(k, s) with (a+b+c)(a+b-c)(a-b+c)(-a+b+c) = k*s**2, k square-free.
+def _heron_part(a: int, b: int, c: int) -> int:
+    """Square-free part k of (a+b+c)(a+b-c)(a-b+c)(-a+b+c), for a product > 0.
 
-    Decomposes factor by factor: each factor is at most 4*max(a,b,c), so
-    the huge product itself is never factorized.
+    Merges the parts p of the four factors as k*p / gcd(k, p)**2: each
+    factor is at most 4*max(a,b,c), so the huge product itself is never
+    factorized.
     """
-    k, s = 1, 1
+    k = 1
     for f in _heron_factors(a, b, c):
-        fk, fs = squarefree_decompose(f)
-        k, s = merge_squarefree(k, s, fk, fs)
-    return k, s
+        p = squarefree_part(f)
+        k = k * p // math.gcd(k, p) ** 2
+    return k
 
 
 def triangle_characteristic(a: int, b: int, c: int) -> int:
@@ -187,7 +192,7 @@ def triangle_characteristic(a: int, b: int, c: int) -> int:
         raise NotATriangle(f"triangle inequality violated for {(a, b, c)}")
     if any(f == 0 for f in factors):
         raise DegenerateTriangle(f"degenerate triangle {(a, b, c)}")
-    return _heron_decompose(a, b, c)[0]
+    return _heron_part(a, b, c)
 
 
 def is_collinear_triple(a: int, b: int, c: int) -> bool:
@@ -319,22 +324,20 @@ class EmbeddedPointSet:
     def y_coeff(self, i: int) -> Fraction:
         return self.points[i][1]
 
-    def squared_distance(self, i: int, j: int) -> Fraction:
-        dx = self.points[i][0] - self.points[j][0]
-        dq = self.points[i][1] - self.points[j][1]
-        return dx * dx + self.k * dq * dq
-
 
 def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
     """Exact embedding of ``m`` in the plane, or a NotRealizable error.
 
-    Fixes p1 = (0,0) and p2 = (d12, 0); the radicand k is the
-    characteristic of the first base triangle, every later point gets its
-    x from the distances to p1 and p2 and its y sign from the distance to
-    the reference point p3.  All remaining pairwise distances are then
-    checked exactly.
+    Fixes p1 = (0,0) and p2 = (d12, 0) and works in integers scaled by
+    s = 2*d12, the frame of the search's candidate index: point j with
+    distances a, b to p1, p2 sits at (X_j, Y_j*sqrt(k)) / s, where
+    X_j = a^2 + d12^2 - b^2 and k*Y_j^2 = H_j = (s*a)^2 - X_j^2, the Heron
+    product of (d12, a, b).  The radicand k is the square-free part of H at
+    the reference point p3; every later point's H must be k times a square,
+    and the distance to p3 picks the sign of Y.  All remaining pairwise
+    distances are then checked exactly, as (s*d)^2.
 
-    With ``allow_collinear`` points may land on the base line (y = 0) and
+    With ``allow_collinear`` points may land on the base line (H = 0) and
     the reference point becomes the first point off the axis; otherwise
     such points raise CollinearBase.
     """
@@ -342,85 +345,83 @@ def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
     if n == 1:
         return EmbeddedPointSet(1, ((Fraction(0), Fraction(0)),))
     d12 = m.entry(0, 1)
-    coords: list[tuple[Fraction, Fraction]] = [
-        (Fraction(0), Fraction(0)),
-        (Fraction(d12), Fraction(0)),
-    ]
-
-    # x_j and squared height above the base line, from distances to p1, p2
-    heights: list[Fraction] = [Fraction(0), Fraction(0)]
+    s = 2 * d12
+    xs = [0, s * d12]
+    heights = [0, 0]  # H_j, s^2 times the squared height above the base line
     for j in range(2, n):
         a, b = m.entry(0, j), m.entry(1, j)
-        xj = Fraction(a * a + d12 * d12 - b * b, 2 * d12)
-        y2 = a * a - xj * xj
-        if y2 < 0:
+        x = a * a + d12 * d12 - b * b
+        h = (s * a) ** 2 - x * x
+        if h < 0:
             raise NotRealizable(
                 f"points 1, 2 and {j + 1} violate a triangle inequality"
             )
-        if y2 == 0 and not allow_collinear:
+        if h == 0 and not allow_collinear:
             raise CollinearBase(f"point {j + 1} lies on the line through points 1 and 2")
-        coords.append((xj, Fraction(0)))
-        heights.append(y2)
+        xs.append(x)
+        heights.append(h)
 
+    ys = [0] * n
     ref = next((j for j in range(2, n) if heights[j] > 0), None)
     if ref is None:
         k = 1  # everything on the base line
     else:
-        k, s = _heron_decompose(d12, m.entry(0, ref), m.entry(1, ref))
-        coords[ref] = (coords[ref][0], Fraction(s, 2 * d12))
+        k = _heron_part(d12, m.entry(0, ref), m.entry(1, ref))
+        ys[ref] = math.isqrt(heights[ref] // k)
 
     for j in range(2, n):
-        if j == ref or heights[j] == 0:
+        h = heights[j]
+        if j == ref or h == 0:
             continue
-        q2 = heights[j] / k
-        qj, ok = rational_perfect_square(q2)
-        if not ok:
+        # k is square-free, so h/k is a rational square iff it is an integer square
+        q, r = divmod(h, k)
+        y = math.isqrt(q)
+        if r or y * y != q:
             raise NotRealizable(
-                f"squared height of point {j + 1} is {heights[j]}, "
+                f"squared height of point {j + 1} is {Fraction(h, s * s)}, "
                 f"not a rational square times the radicand {k}"
             )
-        xr, qr = coords[ref]  # type: ignore[misc]
-        xj = coords[j][0]
-        target = m.entry(ref, j) ** 2
-        sign = None
-        for cand in (qj, -qj):
-            if (xr - xj) ** 2 + k * (qr - cand) ** 2 == target:
-                sign = cand
-                break
+        target = (s * m.entry(ref, j)) ** 2
+        dx = xs[ref] - xs[j]
+        sign = next((c for c in (y, -y) if dx * dx + k * (ys[ref] - c) ** 2 == target), None)
         if sign is None:
             raise NotRealizable(
                 f"no y sign for point {j + 1} matches its distance to point {ref + 1}"
             )
-        coords[j] = (xj, sign)
+        ys[j] = sign
 
-    embedding = EmbeddedPointSet(k, tuple(coords))
     for i in range(n):
         for j in range(i + 1, n):
-            if embedding.squared_distance(i, j) != m.entry(i, j) ** 2:
+            if (xs[i] - xs[j]) ** 2 + k * (ys[i] - ys[j]) ** 2 != (s * m.entry(i, j)) ** 2:
                 raise NotRealizable(
                     f"embedded distance between points {i + 1} and {j + 1} "
                     f"does not match the matrix"
                 )
-    return embedding
+    return EmbeddedPointSet(k, tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(xs, ys)))
 
 
 def distances_from_embedding(e: EmbeddedPointSet) -> DistanceMatrix:
     """Recover the integer distance matrix from exact coordinates.
 
-    Raises CoincidentPoints for a repeated point and NonIntegralDistance
-    when some pairwise distance is not an integer.
+    Works on the lifts of the points scaled by the lcm L of their
+    denominators: a distance is the integer D exactly when the scaled
+    squared distance is (L*D)^2.  Raises CoincidentPoints for a repeated
+    point and NonIntegralDistance when some pairwise distance is not an
+    integer.
     """
     n = e.n
+    lifts = _lift(e.points, e.k)
+    scale = math.lcm(*(c.denominator for pt in e.points for c in pt))
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sq = e.squared_distance(i, j)
-            if sq == 0:
-                raise CoincidentPoints(i, j)
-            root, ok = rational_perfect_square(sq)
-            if not ok or root.denominator != 1:
-                raise NonIntegralDistance(i, j, sq)
-            rows[i][j] = rows[j][i] = int(root)
+    for i, j in combinations(range(n), 2):
+        (_, xi, yi), (_, xj, yj) = lifts[i], lifts[j]
+        sq = (xi - xj) ** 2 + e.k * (yi - yj) ** 2
+        if sq == 0:
+            raise CoincidentPoints(i, j)
+        root = math.isqrt(sq)
+        if root * root != sq or root % scale:
+            raise NonIntegralDistance(i, j, Fraction(sq, scale * scale))
+        rows[i][j] = rows[j][i] = root // scale
     return DistanceMatrix(rows)
 
 
@@ -505,7 +506,6 @@ class VerificationReport:
     diameter: int
     characteristic: Optional[int]
     cluster_candidate: bool
-    embedding: Optional[EmbeddedPointSet] = None
 
     CHECK_FIELDS = (
         "symmetric_positive",
@@ -651,5 +651,4 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
         diameter=diameter,
         characteristic=characteristic,
         cluster_candidate=characteristic == 1,
-        embedding=embedding,
     )

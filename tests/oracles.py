@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately naive: n! enumeration, a cross-ratio test
-on Fraction pairs, sympy factorization.  None of it shares code with the
+on Fraction pairs, an embedding in Fraction arithmetic, sympy
+factorization.  None of it shares code with the
 package; only the ``DistanceMatrix`` container is imported.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 from sympy import factorint
 
@@ -23,6 +25,67 @@ def sympy_squarefree_part(n: int) -> int:
 
 def sympy_triangle_characteristic(a: int, b: int, c: int) -> int:
     return sympy_squarefree_part((a + b + c) * (a + b - c) * (a - b + c) * (-a + b + c))
+
+
+def _rational_sqrt(q: Fraction):
+    """The rational r >= 0 with r*r == q, or None when q is no rational square."""
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
+def fraction_embed(m: DistanceMatrix, allow_collinear: bool = False):
+    """Exact embedding in Fraction coordinates: ``(k, points)`` with point i
+    at (x, q*sqrt(k)) for ``(x, q) = points[i]``.
+
+    The convention, the checks and their order are those of
+    ``pointset.embed``: p1 = (0, 0), p2 = (d12, 0), x of every later point
+    from its distances to p1 and p2, the radicand k from the first point off
+    the base line (the reference), the sign of q from the distance to the
+    reference, then every distance.  A failure raises ValueError with the
+    message ``embed`` gives.
+    """
+    n = m.n
+    if n == 1:
+        return 1, ((Fraction(0), Fraction(0)),)
+    d = m.rows[0][1]
+    xs = [Fraction(0), Fraction(d)]
+    heights = [Fraction(0), Fraction(0)]  # squared heights above the base line
+    for j in range(2, n):
+        a, b = m.rows[0][j], m.rows[1][j]
+        x = Fraction(a * a + d * d - b * b, 2 * d)
+        h = a * a - x * x
+        if h < 0:
+            raise ValueError(f"points 1, 2 and {j + 1} violate a triangle inequality")
+        if h == 0 and not allow_collinear:
+            raise ValueError(f"point {j + 1} lies on the line through points 1 and 2")
+        xs.append(x)
+        heights.append(h)
+
+    qs = [Fraction(0)] * n
+    ref = next((j for j in range(2, n) if heights[j] > 0), None)
+    k = 1 if ref is None else sympy_triangle_characteristic(d, m.rows[0][ref], m.rows[1][ref])
+    for j in range(2, n):
+        if heights[j] == 0:
+            continue
+        q = _rational_sqrt(heights[j] / k)
+        if q is None:
+            raise ValueError(
+                f"squared height of point {j + 1} is {heights[j]}, "
+                f"not a rational square times the radicand {k}"
+            )
+        if j != ref:
+            target = m.rows[ref][j] ** 2
+            q = next((c for c in (q, -q) if (xs[ref] - xs[j]) ** 2 + k * (qs[ref] - c) ** 2 == target), None)
+            if q is None:
+                raise ValueError(f"no y sign for point {j + 1} matches its distance to point {ref + 1}")
+        qs[j] = q
+
+    for i, j in combinations(range(n), 2):
+        if (xs[i] - xs[j]) ** 2 + k * (qs[i] - qs[j]) ** 2 != m.rows[i][j] ** 2:
+            raise ValueError(f"embedded distance between points {i + 1} and {j + 1} does not match the matrix")
+    return k, tuple(zip(xs, qs))
 
 
 def naive_canonical(m: DistanceMatrix) -> tuple[DistanceMatrix, tuple[int, ...]]:
@@ -42,8 +105,6 @@ def naive_candidates(d: int) -> list:
     off the line through them, as (a, b, x, q, k) for the point
     (x, q*sqrt(k)), both signs of q, by a scan of all (a, b) with exact
     Fraction coordinates."""
-    from math import isqrt
-
     cands = []
     for a in range(1, d + 1):
         for b in range(1, d + 1):
@@ -69,8 +130,6 @@ def brute_force_point_sets(target_n: int, d_cap: int) -> set:
     cross-ratio oracle and cross products, canonicalization is the n!
     enumeration.  Shares no code with the search engine.
     """
-    from math import isqrt
-
     results = set()
     for d in range(1, d_cap + 1):
         cands = naive_candidates(d)

@@ -1,44 +1,11 @@
+import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intpoints.arith import (
-    factorize,
-    integer_sqrt,
-    is_probable_prime,
-    merge_squarefree,
-    rational_perfect_square,
-    squarefree_decompose,
-    squarefree_part,
-)
-
-
-class TestIntegerSqrt:
-    def test_perfect_square(self):
-        assert integer_sqrt(25) == (5, True)
-
-    def test_non_square(self):
-        assert integer_sqrt(26) == (5, False)
-
-    def test_large_perfect_square(self):
-        assert integer_sqrt(495952900) == (22270, True)
-
-    def test_zero_and_one(self):
-        assert integer_sqrt(0) == (0, True)
-        assert integer_sqrt(1) == (1, True)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            integer_sqrt(-1)
-
-    @given(st.integers(min_value=0, max_value=10**30))
-    def test_floor_property(self, n):
-        r, exact = integer_sqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
-        assert exact == (r * r == n)
+from intpoints.arith import factorize, is_probable_prime, squarefree_part
 
 
 class TestSquarefreePart:
@@ -60,7 +27,8 @@ class TestSquarefreePart:
 
     def test_decompose_roundtrip(self):
         for n in (1, 2, 12, 360, 2002, 6469693230, 495952900):
-            m, s = squarefree_decompose(n)
+            m = squarefree_part(n)
+            s = math.isqrt(n // m)
             assert m * s * s == n
             assert squarefree_part(m) == m
 
@@ -83,16 +51,23 @@ class TestSquarefreePart:
             n = rng.randint(1, 10**6)
             m = squarefree_part(n)
             assert n % m == 0
-            r, exact = integer_sqrt(n // m)
-            assert exact
+            r = math.isqrt(n // m)
+            assert r * r == n // m
             for d in range(2, 1000):
                 if d * d > m:
                     break
                 assert m % (d * d) != 0
 
     def test_merge_squarefree(self):
+        # the rule the Heron characteristic and the candidate index merge
+        # square-free parts by: sqf(x*y) = p*q / gcd(p, q)^2
         # 12 = 3*2^2, 18 = 2*3^2 -> 216 = 6*6^2
-        assert merge_squarefree(3, 2, 2, 3) == (6, 6)
+        assert squarefree_part(12 * 18) == 6
+        rng = random.Random(2002)
+        for _ in range(2000):
+            x, y = rng.randint(1, 10**5), rng.randint(1, 10**5)
+            p, q = squarefree_part(x), squarefree_part(y)
+            assert squarefree_part(x * y) == p * q // math.gcd(p, q) ** 2
 
 
 class TestFactorize:
@@ -111,19 +86,3 @@ class TestFactorize:
             assert is_probable_prime(p)
             prod *= p**e
         assert prod == n
-
-
-class TestRationalPerfectSquare:
-    def test_square_fraction(self):
-        assert rational_perfect_square(Fraction(144, 25)) == (Fraction(12, 5), True)
-
-    def test_non_square(self):
-        root, ok = rational_perfect_square(Fraction(2))
-        assert not ok
-
-    def test_integer_case(self):
-        assert rational_perfect_square(Fraction(495952900)) == (Fraction(22270), True)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            rational_perfect_square(Fraction(-1, 4))

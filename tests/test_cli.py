@@ -130,6 +130,14 @@ class TestEmbedCommand:
         assert rc == 1
         assert "not realizable" in err
 
+    def test_collinear_base_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "line.txt"
+        f.write_text("3\n0 5 2\n5 0 3\n2 3 0\n")
+        rc, out, err = run(capsys, "embed", str(f))
+        assert rc == 1
+        assert out == ""
+        assert err == "not realizable: point 3 lies on the line through points 1 and 2\n"
+
     def test_non_utf8_file_exits_2(self, capsys, tmp_path):
         f = tmp_path / "binary.txt"
         f.write_bytes(b"\xff\xfe3\n")

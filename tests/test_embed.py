@@ -16,10 +16,12 @@ from intpoints.pointset import (
     distances_from_embedding,
     embed,
     is_concyclic_or_collinear,
+    verify,
 )
+from intpoints.search import SearchConfig, search
 
 from .conftest import HEPTAGON_1_COORDS
-from .oracles import cross_ratio_concyclic_or_collinear
+from .oracles import cross_ratio_concyclic_or_collinear, fraction_embed
 
 
 class TestEmbed:
@@ -67,11 +69,95 @@ class TestEmbed:
         assert e.y_coeff(6) < 0
 
 
+class TestNotRealizableDetail:
+    """The exact text of each way ``embed`` can fail, as ``verify`` reports it."""
+
+    @pytest.mark.parametrize(
+        "rows, detail",
+        [
+            ([[0, 2, 5], [2, 0, 2], [5, 2, 0]], "points 1, 2 and 3 violate a triangle inequality"),
+            (
+                [[0, 8, 8, 7], [8, 0, 4, 2], [8, 4, 0, 8], [7, 2, 8, 0]],
+                "squared height of point 4 is 663/256, not a rational square times the radicand 15",
+            ),
+            (
+                [[0, 5, 6, 4], [5, 0, 7, 7], [6, 7, 0, 3], [4, 7, 3, 0]],
+                "no y sign for point 4 matches its distance to point 3",
+            ),
+        ],
+        ids=["triangle-inequality", "not-a-square", "no-sign"],
+    )
+    def test_detail(self, rows, detail):
+        report = verify(rows)
+        assert not report.realizable.passed
+        assert report.realizable.detail == detail
+
+    def test_distance_mismatch(self, heptagon1):
+        rows = [list(r) for r in heptagon1.rows]
+        rows[5][6] = rows[6][5] = rows[5][6] + 1
+        report = verify(rows)
+        assert not report.realizable.passed
+        assert report.realizable.detail == "embedded distance between points 6 and 7 does not match the matrix"
+
+
+def outcome(embedder, m, allow_collinear):
+    """(k, points) of an embedding, or the text of its failure."""
+    try:
+        result = embedder(m, allow_collinear)
+    except (NotRealizable, ValueError) as exc:
+        return str(exc)
+    return (result.k, result.points) if isinstance(result, EmbeddedPointSet) else result
+
+
+class TestAgainstFractionOracle:
+    """``embed`` against the Fraction reference in ``oracles.fraction_embed``."""
+
+    @staticmethod
+    def check(matrices):
+        for m in matrices:
+            for allow in (False, True):
+                assert outcome(embed, m, allow) == outcome(fraction_embed, m, allow), (m.rows, allow)
+
+    def test_random_matrices(self):
+        rng = random.Random(22270)
+        matrices = []
+        for _ in range(3000):
+            n = rng.randint(2, 6)
+            hi = rng.choice([6, 12, 30])
+            rows = [[0] * n for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                rows[i][j] = rows[j][i] = rng.randint(1, hi)
+            matrices.append(DistanceMatrix(rows))
+        outcomes = {type(outcome(embed, m, True)) for m in matrices}
+        assert outcomes == {tuple, str}
+        self.check(matrices)
+
+    def test_collinear_points(self):
+        rng = random.Random(66810)
+        matrices = []
+        for _ in range(300):
+            xs = sorted(rng.sample(range(15), rng.randint(2, 5)))
+            matrices.append(DistanceMatrix([[abs(a - b) for b in xs] for a in xs]))
+        self.check(matrices)
+
+    def test_searched_relabeled_and_corrupted(self, heptagon1, heptagon2):
+        rng = random.Random(2002)
+        found = list(search(SearchConfig(4, 1, 40))) + list(search(SearchConfig(5, 73, 90)))
+        matrices = found + [heptagon1, heptagon2]
+        for m in found[::4] + [heptagon1, heptagon2]:
+            perm = list(range(m.n))
+            rng.shuffle(perm)
+            matrices.append(m.permuted(perm))
+            rows = [list(r) for r in m.rows]
+            i, j = rng.sample(range(m.n), 2)
+            rows[i][j] = rows[j][i] = max(1, rows[i][j] + rng.choice([-1, 1]))
+            matrices.append(DistanceMatrix(rows))
+        self.check(matrices)
+
+
 class TestDistancesFromEmbedding:
     def test_known_pair(self, heptagon1):
-        e = embed(heptagon1)
-        assert e.squared_distance(3, 5) == 11135**2
-        m = distances_from_embedding(e)
+        m = distances_from_embedding(embed(heptagon1))
         assert m.entry(3, 5) == 11135
         assert m.entry(2, 6) == 20066
 

@@ -2,8 +2,8 @@
 
 Every module of ``intpoints`` is parsed with ``ast`` and checked for the
 constructs that bring a float in: a float literal, the name ``float``, a
-``math`` function other than the exact integer ones, and a true division
-``/`` that is not one of the listed divisions of ``Fraction`` values.
+``math`` function other than the exact integer ones, and any true division
+``/``.
 """
 
 import ast
@@ -15,8 +15,6 @@ import intpoints
 
 MODULES = sorted(Path(intpoints.__file__).parent.glob("*.py"))
 EXACT_MATH = {"isqrt", "gcd", "lcm"}
-# (module, source) of each true division whose operands are Fractions
-FRACTION_DIVISIONS = {("pointset.py", "heights[j] / k")}
 
 
 def float_uses(name: str, source: str) -> list[str]:
@@ -37,21 +35,13 @@ def float_uses(name: str, source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             found += [f"{where}: math.{a.name}" for a in node.names if a.name not in EXACT_MATH]
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            text = ast.get_source_segment(source, node)
-            if (name, text) not in FRACTION_DIVISIONS:
-                found.append(f"{where}: true division {text}")
+            found.append(f"{where}: true division {ast.get_source_segment(source, node)}")
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_float(path):
     assert float_uses(path.name, path.read_text(encoding="utf-8")) == []
-
-
-def test_listed_divisions_exist():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    for name, text in FRACTION_DIVISIONS:
-        assert text in sources[name], (name, text)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from intpoints.pointset import (
     InvalidDistanceMatrix,
     NotATriangle,
     NotATriple,
+    embed,
     is_collinear_triple,
     parse_matrix_text,
     pointset_characteristic,
@@ -163,8 +164,10 @@ class TestVerify:
             # int() would truncate these to the 5-4-3 right triangle
             [[0, 5.9, 4.2], [5.9, 0, 3.7], [4.2, 3.7, 0]],
             [["0", "5", "4"], ["5", "0", "3"], ["4", "3", "0"]],
+            # index() would read True as the distance 1
+            [[0, True], [True, 0]],
         ],
-        ids=["float", "str"],
+        ids=["float", "str", "bool"],
     )
     def test_non_integer_entries_reported(self, rows):
         with pytest.raises(InvalidDistanceMatrix, match=type(rows[0][1]).__name__):
@@ -187,9 +190,11 @@ class TestVerify:
     def test_trapezoid_with_radicand_is_concyclic(self):
         # isosceles trapezoid: bases 5 and 4, legs 4, diagonals 6; its
         # coordinates have denominator 2 and y in Q*sqrt(7)
-        report = verify([[0, 5, 6, 4], [5, 0, 4, 6], [6, 4, 0, 4], [4, 6, 4, 0]])
-        assert report.embedding.k == 7
-        assert {p[1].denominator for p in report.embedding.points} == {1, 2}
+        rows = [[0, 5, 6, 4], [5, 0, 4, 6], [6, 4, 0, 4], [4, 6, 4, 0]]
+        e = embed(DistanceMatrix(rows))
+        assert e.k == 7
+        assert {p[1].denominator for p in e.points} == {1, 2}
+        report = verify(rows)
         assert report.no_concyclic_quadruple.detail == "concyclic quadruple at points (1, 2, 3, 4)"
         assert not report.no_concyclic_quadruple.passed
         assert report.no_collinear_triple.passed
