@@ -24,7 +24,7 @@ def decimal_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# factorization: trial division + Miller-Rabin + Pollard rho (Brent variant)
+# factorization: trial division + Miller-Rabin + Pollard rho (Floyd cycle finding)
 # ---------------------------------------------------------------------------
 
 _TRIAL_LIMIT = 4096

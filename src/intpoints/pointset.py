@@ -100,20 +100,11 @@ class DistanceMatrix:
     def diameter(self) -> int:
         return max((x for row in self.rows for x in row), default=0)
 
-    def upper_vector(self) -> tuple[int, ...]:
-        """Upper-right triangle read column by column: d12, d13, d23, d14, ..."""
-        return tuple(self.rows[i][j] for j in range(1, self.n) for i in range(j))
-
     def permuted(self, perm: Sequence[int]) -> "DistanceMatrix":
         """Relabeled copy: new point i is old point perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm}")
         return DistanceMatrix(tuple(tuple(self.rows[pi][pj] for pj in perm) for pi in perm))
-
-    def to_text(self) -> str:
-        lines = [str(self.n)]
-        lines += [" ".join(str(x) for x in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
 
 
 def check_matrix_shape(rows: Sequence[Sequence[int]]) -> None:
@@ -160,22 +151,39 @@ def parse_matrix_text(text: str) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _heron_factors(a: int, b: int, c: int) -> tuple[int, int, int, int]:
-    return (a + b + c, a + b - c, a - b + c, -a + b + c)
+def _heron(a: int, b: int, c: int) -> int:
+    """The Heron product (a+b+c)(a+b-c)(a-b+c)(-a+b+c), 16 times the squared area.
+
+    For sides >= 0 at most one factor is <= 0, as any two of the last three
+    sum to twice a side: the product is negative exactly when a triangle
+    inequality fails and zero exactly when one is tight.
+    """
+    return (a + b + c) * (a + b - c) * (a - b + c) * (-a + b + c)
 
 
 def _heron_part(a: int, b: int, c: int) -> int:
-    """Square-free part k of (a+b+c)(a+b-c)(a-b+c)(-a+b+c), for a product > 0.
+    """Square-free part k of the Heron product of (a, b, c), for a product > 0.
 
     Merges the parts p of the four factors as k*p / gcd(k, p)**2: each
-    factor is at most 4*max(a,b,c), so the huge product itself is never
+    factor is at most 3*max(a,b,c), so the huge product itself is never
     factorized.
     """
     k = 1
-    for f in _heron_factors(a, b, c):
+    for f in (a + b + c, a + b - c, a - b + c, -a + b + c):
         p = squarefree_part(f)
         k = k * p // math.gcd(k, p) ** 2
     return k
+
+
+def _root(h: int, k: int) -> int:
+    """The y with k*y**2 == h, or 0 when there is none; for h > 0, k >= 1.
+
+    For a square-free k this is the characteristic test: h has square-free
+    part k exactly when the result is nonzero.
+    """
+    q, r = divmod(h, k)
+    y = math.isqrt(q)
+    return 0 if r or y * y != q else y
 
 
 def triangle_characteristic(a: int, b: int, c: int) -> int:
@@ -187,10 +195,10 @@ def triangle_characteristic(a: int, b: int, c: int) -> int:
     """
     if min(a, b, c) < 1:
         raise NotATriangle(f"side lengths must be >= 1, got {(a, b, c)}")
-    factors = _heron_factors(a, b, c)
-    if any(f < 0 for f in factors):
+    h = _heron(a, b, c)
+    if h < 0:
         raise NotATriangle(f"triangle inequality violated for {(a, b, c)}")
-    if any(f == 0 for f in factors):
+    if h == 0:
         raise DegenerateTriangle(f"degenerate triangle {(a, b, c)}")
     return _heron_part(a, b, c)
 
@@ -204,10 +212,10 @@ def is_collinear_triple(a: int, b: int, c: int) -> bool:
     """
     if min(a, b, c) < 0:
         raise NotATriple(f"negative distance in {(a, b, c)}")
-    factors = _heron_factors(a, b, c)
-    if any(f < 0 for f in factors):
+    h = _heron(a, b, c)
+    if h < 0:
         raise NotATriple(f"metric violation for {(a, b, c)}")
-    return any(f == 0 for f in factors)
+    return h == 0
 
 
 def pointset_characteristic(m: DistanceMatrix) -> int:
@@ -215,20 +223,23 @@ def pointset_characteristic(m: DistanceMatrix) -> int:
 
     Verifies agreement across every triple; a mismatch (which proves the
     matrix is not realizable without collinear points) raises
-    CharacteristicMismatch with both witness triangles.
+    CharacteristicMismatch with both witness triangles.  Only the first
+    triangle is factorized; every later one is tested against its
+    characteristic with ``_root``.
     """
     if m.n < 3:
         raise ValueError("characteristic needs at least 3 points")
-    first_tri: Optional[tuple[int, int, int]] = None
-    first_char = 0
-    for tri in combinations(range(m.n), 3):
+    triples = combinations(range(m.n), 3)
+    first = next(triples)  # (0, 1, 2)
+    k = triangle_characteristic(m.entry(0, 1), m.entry(0, 2), m.entry(1, 2))
+    for tri in triples:
         i, j, l = tri
-        c = triangle_characteristic(m.entry(i, j), m.entry(i, l), m.entry(j, l))
-        if first_tri is None:
-            first_tri, first_char = tri, c
-        elif c != first_char:
-            raise CharacteristicMismatch(first_tri, first_char, tri, c)
-    return first_char
+        a, b, c = m.entry(i, j), m.entry(i, l), m.entry(j, l)
+        h = _heron(a, b, c)
+        if h <= 0 or not _root(h, k):
+            # raises for a non-triangle, else names the other characteristic
+            raise CharacteristicMismatch(first, k, tri, triangle_characteristic(a, b, c))
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +329,9 @@ class EmbeddedPointSet:
     def n(self) -> int:
         return len(self.points)
 
-    def x(self, i: int) -> Fraction:
-        return self.points[i][0]
-
-    def y_coeff(self, i: int) -> Fraction:
-        return self.points[i][1]
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"radicand must be >= 1, got {self.k}")
 
 
 def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
@@ -374,9 +383,8 @@ def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
         if j == ref or h == 0:
             continue
         # k is square-free, so h/k is a rational square iff it is an integer square
-        q, r = divmod(h, k)
-        y = math.isqrt(q)
-        if r or y * y != q:
+        y = _root(h, k)
+        if not y:
             raise NotRealizable(
                 f"squared height of point {j + 1} is {Fraction(h, s * s)}, "
                 f"not a rational square times the radicand {k}"
@@ -479,6 +487,8 @@ def is_concyclic_or_collinear(p, q, r, s, k: int = 1) -> bool:
     stands for ``(x, c*sqrt(k))``, the form of ``EmbeddedPointSet.points``;
     with the default ``k = 1`` the pairs are plain rational points.
     """
+    if k < 1:
+        raise ValueError(f"radicand must be >= 1, got {k}")
     a, b, c, d = _lift((p, q, r, s), k)
     return not _avoids((_circle(a, b, c),), d)
 
@@ -494,6 +504,18 @@ class CheckResult:
     detail: str = ""
 
 
+# the checks of a report, in report order, with their labels in ``lines()``
+_CHECK_LABELS = {
+    "symmetric_positive": "symmetry/positivity",
+    "strict_triangles": "strict triangle inequalities",
+    "realizable": "planar realizability",
+    "no_collinear_triple": "no three collinear",
+    "no_concyclic_quadruple": "no four concyclic",
+    "uniform_characteristic": "uniform characteristic",
+    "canonical": "canonical form",
+}
+
+
 @dataclass
 class VerificationReport:
     symmetric_positive: CheckResult
@@ -505,38 +527,24 @@ class VerificationReport:
     canonical: CheckResult
     diameter: int
     characteristic: Optional[int]
-    cluster_candidate: bool
 
-    CHECK_FIELDS = (
-        "symmetric_positive",
-        "strict_triangles",
-        "realizable",
-        "no_collinear_triple",
-        "no_concyclic_quadruple",
-        "uniform_characteristic",
-        "canonical",
-    )
+    CHECK_FIELDS = tuple(_CHECK_LABELS)
 
     @property
     def passed(self) -> bool:
         return all(getattr(self, f).passed for f in self.CHECK_FIELDS)
 
+    @property
+    def cluster_candidate(self) -> bool:
+        return self.characteristic == 1
+
     def lines(self) -> list[str]:
-        labels = {
-            "symmetric_positive": "symmetry/positivity",
-            "strict_triangles": "strict triangle inequalities",
-            "realizable": "planar realizability",
-            "no_collinear_triple": "no three collinear",
-            "no_concyclic_quadruple": "no four concyclic",
-            "uniform_characteristic": "uniform characteristic",
-            "canonical": "canonical form",
-        }
         out = []
-        for f in self.CHECK_FIELDS:
+        for f, label in _CHECK_LABELS.items():
             res: CheckResult = getattr(self, f)
             status = "pass" if res.passed else "FAIL"
             suffix = f" ({res.detail})" if res.detail and not res.passed else ""
-            out.append(f"{labels[f]}: {status}{suffix}")
+            out.append(f"{label}: {status}{suffix}")
         char = self.characteristic if self.characteristic is not None else "-"
         cluster = "yes" if self.cluster_candidate else "no"
         out.append(f"diameter={self.diameter} characteristic={char} cluster_candidate={cluster}")
@@ -551,31 +559,13 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
     nested sequences are accepted so that structurally broken input can
     be diagnosed too.
     """
-    if isinstance(m, DistanceMatrix):
-        matrix: Optional[DistanceMatrix] = m
-        structural = CheckResult(True)
-    else:
-        try:
-            matrix = DistanceMatrix(m)
-            structural = CheckResult(True)
-        except InvalidDistanceMatrix as exc:
-            matrix = None
-            structural = CheckResult(False, str(exc))
-
-    if matrix is None:
+    try:
+        matrix = m if isinstance(m, DistanceMatrix) else DistanceMatrix(m)
+    except InvalidDistanceMatrix as exc:
         skipped = CheckResult(False, "not evaluated: invalid matrix structure")
-        return VerificationReport(
-            symmetric_positive=structural,
-            strict_triangles=skipped,
-            realizable=skipped,
-            no_collinear_triple=skipped,
-            no_concyclic_quadruple=skipped,
-            uniform_characteristic=skipped,
-            canonical=skipped,
-            diameter=0,
-            characteristic=None,
-            cluster_candidate=False,
-        )
+        checks = dict.fromkeys(_CHECK_LABELS, skipped)
+        checks["symmetric_positive"] = CheckResult(False, str(exc))
+        return VerificationReport(**checks, diameter=0, characteristic=None)
 
     n = matrix.n
     diameter = matrix.diameter()
@@ -587,14 +577,14 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
     for tri in combinations(range(n), 3):
         i, j, l = tri
         a, b, c = matrix.entry(i, j), matrix.entry(i, l), matrix.entry(j, l)
-        factors = _heron_factors(a, b, c)
+        h = _heron(a, b, c)
         label = f"points {(i + 1, j + 1, l + 1)}"
-        if any(f < 0 for f in factors):
+        if h < 0:
             if strict.passed:
                 strict = CheckResult(False, f"triangle inequality violated at {label}")
             if uniform.passed:
                 uniform = CheckResult(False, f"no characteristic: metric violation at {label}")
-        elif any(f == 0 for f in factors):
+        elif h == 0:
             if strict.passed:
                 strict = CheckResult(False, f"tight triangle inequality at {label}")
             if collinear.passed:
@@ -602,13 +592,12 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
             if uniform.passed:
                 uniform = CheckResult(False, f"no characteristic: degenerate triangle at {label}")
         elif uniform.passed:
-            k = triangle_characteristic(a, b, c)
             if characteristic is None:
-                characteristic = k
-            elif k != characteristic:
+                characteristic = _heron_part(a, b, c)
+            elif not _root(h, characteristic):
                 uniform = CheckResult(
                     False,
-                    f"characteristic {k} at {label} differs from {characteristic}",
+                    f"characteristic {_heron_part(a, b, c)} at {label} differs from {characteristic}",
                 )
 
     embedding: Optional[EmbeddedPointSet] = None
@@ -641,7 +630,7 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
         characteristic = None
 
     return VerificationReport(
-        symmetric_positive=structural,
+        symmetric_positive=CheckResult(True),
         strict_triangles=strict,
         realizable=realizable,
         no_collinear_triple=collinear,
@@ -650,5 +639,4 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
         canonical=canonical,
         diameter=diameter,
         characteristic=characteristic,
-        cluster_candidate=characteristic == 1,
     )

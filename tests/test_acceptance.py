@@ -79,10 +79,9 @@ def test_criterion_2_embedding_regression(heptagon1):
     elapsed = time.perf_counter() - t0
     assert e.k == 2002
     for i, (x, q) in enumerate(HEPTAGON_1_COORDS):
-        assert e.x(i) == Fraction(x)
-        assert e.y_coeff(i) == Fraction(q)
-    assert e.x(3) == Fraction(245363, 17) and e.y_coeff(3) == Fraction(3144, 17)
-    assert e.y_coeff(6) == Fraction(-54168, 2227)
+        assert e.points[i] == (Fraction(x), Fraction(q))
+    assert e.points[3] == (Fraction(245363, 17), Fraction(3144, 17))
+    assert e.points[6][1] == Fraction(-54168, 2227)
     assert elapsed < 1.0
     report("2 embedding regression", f"all 7 coordinates bit-exact in {elapsed * 1000:.0f} ms")
 

@@ -18,7 +18,7 @@ class TestCanonicalForm:
     def test_345_triangle(self):
         m = DistanceMatrix([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
         canon, perm = canonical_form(m)
-        assert canon.upper_vector() == (5, 4, 3)
+        assert (canon.rows[0][1], canon.rows[0][2], canon.rows[1][2]) == (5, 4, 3)
         assert canon == m.permuted(perm)
         assert not is_canonical(m)
 

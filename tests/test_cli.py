@@ -125,7 +125,7 @@ class TestEmbedCommand:
         rows = [list(r) for r in heptagon1.rows]
         rows[5][6] = rows[6][5] = 10745
         f = tmp_path / "perturbed.txt"
-        f.write_text(DistanceMatrix(rows).to_text())
+        f.write_text("7\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
         rc, _, err = run(capsys, "embed", str(f))
         assert rc == 1
         assert "not realizable" in err

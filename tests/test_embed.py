@@ -29,8 +29,7 @@ class TestEmbed:
         e = embed(heptagon1)
         assert e.k == 2002
         for i, (x, q) in enumerate(HEPTAGON_1_COORDS):
-            assert e.x(i) == Fraction(x), f"x of point {i + 1}"
-            assert e.y_coeff(i) == Fraction(q), f"y of point {i + 1}"
+            assert e.points[i] == (Fraction(x), Fraction(q)), f"point {i + 1}"
 
     def test_345_triangle(self):
         e = embed(DistanceMatrix([[0, 5, 4], [5, 0, 3], [4, 3, 0]]))
@@ -65,8 +64,8 @@ class TestEmbed:
 
     def test_embedding_convention_signs(self, heptagon1):
         e = embed(heptagon1)
-        assert e.y_coeff(2) > 0
-        assert e.y_coeff(6) < 0
+        assert e.points[2][1] > 0
+        assert e.points[6][1] < 0
 
 
 class TestNotRealizableDetail:
@@ -171,6 +170,12 @@ class TestDistancesFromEmbedding:
         with pytest.raises(NonIntegralDistance):
             distances_from_embedding(e)
 
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_radicand_below_one_rejected(self, k):
+        # with k = -1 the two points below would be at distance 0
+        with pytest.raises(ValueError, match=f"radicand must be >= 1, got {k}"):
+            EmbeddedPointSet(k, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+
 
 class TestConcyclic:
     def test_unit_square(self):
@@ -184,6 +189,12 @@ class TestConcyclic:
     def test_four_collinear(self):
         pts = [(0, 0), (1, 0), (2, 0), (5, 0)]
         assert is_concyclic_or_collinear(*pts) is True
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_radicand_below_one_rejected(self, k):
+        pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        with pytest.raises(ValueError, match=f"radicand must be >= 1, got {k}"):
+            is_concyclic_or_collinear(*pts, k=k)
 
     def test_heptagon_quadruples_all_clear(self, heptagon1):
         e = embed(heptagon1)

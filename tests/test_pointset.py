@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from intpoints.pointset import (
     CharacteristicMismatch,
+    CheckResult,
     DegenerateTriangle,
     DistanceMatrix,
     InvalidDistanceMatrix,
@@ -16,6 +18,7 @@ from intpoints.pointset import (
     triangle_characteristic,
     verify,
 )
+from intpoints.search import SearchConfig, search
 
 from .oracles import sympy_triangle_characteristic
 
@@ -32,12 +35,14 @@ class TestDistanceMatrix:
             DistanceMatrix([[1, 2], [2, 0]])
 
     def test_upper_vector_order(self, heptagon1):
-        v = heptagon1.upper_vector()
-        assert v[:6] == (22270, 22098, 21488, 16637, 11397, 10795)
+        # the upper-right triangle read column by column: d12, d13, d23, d14, ...
+        v = [heptagon1.rows[i][j] for j in range(1, 7) for i in range(j)]
+        assert v[:6] == [22270, 22098, 21488, 16637, 11397, 10795]
         assert len(v) == 21
 
     def test_text_roundtrip(self, heptagon1):
-        assert parse_matrix_text(heptagon1.to_text()) == heptagon1
+        text = "7\n" + "".join(" ".join(map(str, row)) + "\n" for row in heptagon1.rows)
+        assert parse_matrix_text(text) == heptagon1
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidDistanceMatrix):
@@ -131,6 +136,24 @@ class TestPointsetCharacteristic:
         with pytest.raises(CharacteristicMismatch):
             pointset_characteristic(m)
 
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            # first triangle (2,2,2); (1,2,4) is (2,1,1), a tight inequality
+            ([[0, 2, 2, 1], [2, 0, 2, 1], [2, 2, 0, 2], [1, 1, 2, 0]],
+             DegenerateTriangle, "degenerate triangle (2, 1, 1)"),
+            # first triangle (2,2,2); (1,2,4) is (2,5,1), a metric violation
+            ([[0, 2, 2, 5], [2, 0, 2, 1], [2, 2, 0, 2], [5, 1, 2, 0]],
+             NotATriangle, "triangle inequality violated for (2, 5, 1)"),
+        ],
+        ids=["degenerate", "violated"],
+    )
+    def test_later_non_triangle_raises_its_error(self, rows, error, message):
+        with pytest.raises(error) as info:
+            pointset_characteristic(DistanceMatrix(rows))
+        assert str(info.value) == message
+        assert not isinstance(info.value, CharacteristicMismatch)
+
 
 class TestVerify:
     def test_heptagon1_passes(self, heptagon1):
@@ -157,6 +180,85 @@ class TestVerify:
         report = verify([[0, 1], [2, 0]])
         assert not report.passed
         assert not report.symmetric_positive.passed
+
+    def test_invalid_structure_lines(self):
+        skipped = "FAIL (not evaluated: invalid matrix structure)"
+        assert verify([[0, 1], [2, 0]]).lines() == [
+            "symmetry/positivity: FAIL (asymmetric entries at (1,2))",
+            f"strict triangle inequalities: {skipped}",
+            f"planar realizability: {skipped}",
+            f"no three collinear: {skipped}",
+            f"no four concyclic: {skipped}",
+            f"uniform characteristic: {skipped}",
+            f"canonical form: {skipped}",
+            "diameter=0 characteristic=- cluster_candidate=no",
+            "overall: FAIL",
+        ]
+
+    @pytest.mark.parametrize(
+        "rows, uniform, strict",
+        [
+            ([[0, 3, 4, 4], [3, 0, 5, 4], [4, 5, 0, 7], [4, 4, 7, 0]],
+             "characteristic 55 at points (1, 2, 4) differs from 1", ""),
+            ([[0, 1, 1, 5], [1, 0, 1, 1], [1, 1, 0, 1], [5, 1, 1, 0]],
+             "no characteristic: metric violation at points (1, 2, 4)",
+             "triangle inequality violated at points (1, 2, 4)"),
+            ([[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+             "no characteristic: degenerate triangle at points (1, 2, 3)",
+             "tight triangle inequality at points (1, 2, 3)"),
+        ],
+        ids=["mismatch", "violated", "degenerate"],
+    )
+    def test_characteristic_details(self, rows, uniform, strict):
+        report = verify(rows)
+        assert report.uniform_characteristic == CheckResult(False, uniform)
+        assert report.strict_triangles == CheckResult(not strict, strict)
+        assert report.characteristic is None
+
+    @staticmethod
+    def expected_uniform(rows):
+        """verify's uniform check from the sympy characteristic of every triangle."""
+        first = None
+        for i, j, l in combinations(range(len(rows)), 3):
+            a, b, c = rows[i][j], rows[i][l], rows[j][l]
+            label = f"points {(i + 1, j + 1, l + 1)}"
+            product = (a + b + c) * (a + b - c) * (a - b + c) * (-a + b + c)
+            if product < 0:
+                return CheckResult(False, f"no characteristic: metric violation at {label}"), None
+            if product == 0:
+                return CheckResult(False, f"no characteristic: degenerate triangle at {label}"), None
+            k = sympy_triangle_characteristic(a, b, c)
+            if first is None:
+                first = k
+            elif k != first:
+                return CheckResult(False, f"characteristic {k} at {label} differs from {first}"), None
+        return CheckResult(True), first
+
+    def test_uniform_characteristic_agrees_with_sympy_oracle(self):
+        rng = random.Random(2002)
+        matrices = []
+        for _ in range(400):
+            n = rng.randint(3, 6)
+            rows = [[0] * n for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                rows[i][j] = rows[j][i] = rng.randint(1, rng.choice((4, 9, 30)))
+            matrices.append(rows)
+        records = [[list(r) for r in m.rows] for m in search(SearchConfig(4, 1, 30))]
+        assert len(records) > 20
+        for rows in records:
+            matrices.append(rows)
+            i, j = sorted(rng.sample(range(4), 2))
+            bad = [list(r) for r in rows]
+            bad[i][j] = bad[j][i] = max(1, bad[i][j] + rng.choice((-2, -1, 1, 2)))
+            matrices.append(bad)
+        kinds = set()
+        for rows in matrices:
+            report = verify(rows)
+            uniform, characteristic = self.expected_uniform(rows)
+            assert report.uniform_characteristic == uniform, rows
+            assert report.characteristic == characteristic, rows
+            kinds.add(next((w for w in ("violation", "degenerate", "differs") if w in uniform.detail), "pass"))
+        assert kinds == {"pass", "violation", "degenerate", "differs"}
 
     @pytest.mark.parametrize(
         "rows",

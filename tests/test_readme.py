@@ -52,7 +52,7 @@ def test_quick_tour_runs_as_stated(capsys, heptagon1):
     }
     # e = embed(m)  # p3 = (32, 24)/10 = (16/5, 12/5), radicand 1
     e = namespace["e"]
-    assert (e.x(2), e.y_coeff(2), e.k) == (Fraction(16, 5), Fraction(12, 5), 1)
+    assert (e.points[2], e.k) == ((Fraction(16, 5), Fraction(12, 5)), 1)
     # print(found.rows)  # the unique heptagon at its diameter
     assert capsys.readouterr().out == f"{heptagon1.rows}\n"
 

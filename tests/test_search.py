@@ -115,7 +115,8 @@ class TestCandidatePoints:
         bucket = _candidate_groups(d, CharFilter.fixed(2002))[2002]
         coords = {(Fraction(x, 2 * d), Fraction(s, 2 * d)) for _, _, x, s in bucket}
         for i in range(2, 7):
-            assert (e.x(i), abs(e.y_coeff(i))) in coords
+            x, q = e.points[i]
+            assert (x, abs(q)) in coords
 
     def test_no_axis_candidates(self):
         for d in (3, 5, 12):
