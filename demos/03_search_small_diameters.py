@@ -13,9 +13,9 @@ import time
 from intpoints import SearchConfig, minimum_diameter, search
 
 for n, cap in ((3, 10), (4, 20), (5, 100)):
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = minimum_diameter(n, cap)
-    print(f"minimum diameter for n={n}: {d}  ({time.time() - t0:.2f}s)")
+    print(f"minimum diameter for n={n}: {d}  ({time.perf_counter() - t0:.2f}s)")
 
 print("\nthe (unique) smallest 4-point set:")
 for m in search(SearchConfig(4, 8, 8)):
@@ -23,6 +23,6 @@ for m in search(SearchConfig(4, 8, 8)):
         print("   ", row)
 
 if "--skip-six" not in sys.argv:
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = minimum_diameter(6, 200)
-    print(f"\nminimum diameter for n=6: {d}  ({time.time() - t0:.1f}s)")
+    print(f"\nminimum diameter for n=6: {d}  ({time.perf_counter() - t0:.1f}s)")

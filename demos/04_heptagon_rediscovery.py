@@ -15,14 +15,14 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 known1 = parse_matrix_text((DATA / "heptagon1.txt").read_text())
 known2 = parse_matrix_text((DATA / "heptagon2.txt").read_text())
 
-t0 = time.time()
+t0 = time.perf_counter()
 found = list(search(SearchConfig(7, 22270, 22270, CharFilter.fixed(2002))))
-print(f"diameter 22270, characteristic 2002: {len(found)} set(s) in {time.time() - t0:.1f}s")
+print(f"diameter 22270, characteristic 2002: {len(found)} set(s) in {time.perf_counter() - t0:.1f}s")
 print("matches the shipped certificate:", found == [known1])
 
-t0 = time.time()
+t0 = time.perf_counter()
 found = list(search(SearchConfig(7, 66810, 66810, CharFilter.fixed(2002))))
-print(f"\ndiameter 66810, characteristic 2002: {len(found)} set(s) in {time.time() - t0:.1f}s")
+print(f"\ndiameter 66810, characteristic 2002: {len(found)} set(s) in {time.perf_counter() - t0:.1f}s")
 for m in found:
     tag = "the shipped certificate" if m == known2 else "a further heptagon"
     print(f"\n{tag} (verify passes: {verify(m).passed}):")

@@ -18,10 +18,10 @@ args = parser.parse_args()
 
 moduli = [args.modulus] if args.modulus else list(range(2, 14))
 for n in moduli:
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = mod_max_general_position(n, node_budget=args.budget)
     bound = "=" if res.exact else ">="
     print(
         f"max general-position points over Z_{n}^2 {bound} {res.size}"
-        f"  witness {res.witness}  ({time.time() - t0:.2f}s)"
+        f"  witness {res.witness}  ({time.perf_counter() - t0:.2f}s)"
     )

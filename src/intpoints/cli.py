@@ -9,6 +9,7 @@ uniform across commands: 0 for semantic success, 1 for semantic failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -172,6 +173,7 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: in-process callers run main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intpoints",

@@ -21,8 +21,9 @@ class ModContext:
     ``squares`` is the full set of squares in Z_n (distance values admitted
     by the integral-distance test); ``radius_squares`` the values r^2 for
     r != 0 (admissible squared circle radii, may contain 0 for composite n).
-    Line and circle incidence structures for the clique search are built
-    lazily because only the search needs them.
+    Only the search needs the incidence structures: ``line_masks`` is built
+    on each call, once per search, and ``circles_through`` caches each
+    point's circles, because the search asks for them at every admission.
     """
 
     def __init__(self, n: int):
@@ -31,13 +32,12 @@ class ModContext:
         self.n = n
         self.squares = frozenset((d * d) % n for d in range(n))
         self.radius_squares = frozenset((r * r) % n for r in range(1, n))
-        self._line_masks: Optional[list[int]] = None
         self._circles_through: dict[int, list[int]] = {}
 
     def reduce(self, p: ModPoint) -> ModPoint:
         return (p[0] % self.n, p[1] % self.n)
 
-    # -- lazy incidence structures for the search --------------------------
+    # -- incidence structures for the search -------------------------------
 
     def line_masks(self) -> list[int]:
         """For each difference vector, a bitmask of the cyclic subgroups
@@ -47,21 +47,19 @@ class ModContext:
         r - p lie in one common single-generator subgroup (the direction of
         the parametric line through p).
         """
-        if self._line_masks is None:
-            n = self.n
-            subgroups: dict[frozenset[int], int] = {}
-            for t1 in range(n):
-                for t2 in range(n):
-                    members = frozenset((w * t1 % n) * n + (w * t2 % n) for w in range(n))
-                    if members not in subgroups:
-                        subgroups[members] = len(subgroups)
-            masks = [0] * (n * n)
-            for members, idx in subgroups.items():
-                bit = 1 << idx
-                for delta in members:
-                    masks[delta] |= bit
-            self._line_masks = masks
-        return self._line_masks
+        n = self.n
+        subgroups: dict[frozenset[int], int] = {}
+        for t1 in range(n):
+            for t2 in range(n):
+                members = frozenset((w * t1 % n) * n + (w * t2 % n) for w in range(n))
+                if members not in subgroups:
+                    subgroups[members] = len(subgroups)
+        masks = [0] * (n * n)
+        for members, idx in subgroups.items():
+            bit = 1 << idx
+            for delta in members:
+                masks[delta] |= bit
+        return masks
 
     def circles_through(self, idx: int) -> list[int]:
         """Encoded (center, squared-radius) keys of circles through a point."""
@@ -143,85 +141,77 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     with no three collinear and no four on a circle, plus a witness.
 
     Backtracking clique search over the integral-distance graph with
-    incremental line and circle constraints.  All predicates are
-    translation invariant, so the first point is fixed at (0,0).  When
-    ``node_budget`` search nodes are exhausted the best set found so far
-    is returned flagged as a lower bound (``exact=False``); a negative
-    budget raises ``ValueError``.
+    incremental line and circle constraints and a best-so-far bound
+    (Carraghan and Pardalos 1990).  All predicates are translation
+    invariant, so the first point is fixed at (0,0).  A node is the root
+    and each admitted set after it; when ``node_budget`` nodes are
+    exhausted the best set found so far is returned flagged as a lower
+    bound (``exact=False``); a negative budget raises ``ValueError``.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     ctx = ModContext(n)
-    total = n * n
-    pts = [(u, v) for u in range(n) for v in range(n)]  # index = u*n + v
+    total = n * n  # point i is (i // n, i % n)
 
-    adj = [0] * total
-    for i in range(total):
-        for j in range(i + 1, total):
-            if mod_integral_distance(pts[i], pts[j], ctx):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    # Translation invariance: two points are adjacent exactly when their
+    # difference is one of `near`.  Column v holds the neighbours of (0, v),
+    # and those of (u, v) are them rotated by u rows.
+    near = [
+        (du, dv)
+        for du in range(n)
+        for dv in range(n)
+        if (du or dv) and (du * du + dv * dv) % n in ctx.squares
+    ]
+    column = [sum(1 << (du * n + (v + dv) % n) for du, dv in near) for v in range(n)]
+    full = (1 << total) - 1
+    adj = [
+        (column[v] << u * n | column[v] >> total - u * n) & full for u in range(n) for v in range(n)
+    ]
 
     line_masks = ctx.line_masks()
+    circles = ctx.circles_through
+    count = [0] * (total * n)  # chosen points on each circle, by circle key
 
-    def delta_idx(i: int, j: int) -> int:
-        ui, vi = pts[i]
-        uj, vj = pts[j]
-        return ((uj - ui) % n) * n + ((vj - vi) % n)
+    # The root fixes (0,0): any nonempty set translates onto it.
+    chosen, best, nodes = [0], (0,), 1
+    for key in circles(0):
+        count[key] += 1
+    exhausted = node_budget is not None and nodes > node_budget
 
-    circle_count: dict[int, int] = {}
-    best_size, best_set = 1, (0,)  # the fixed first point alone
-    nodes = 0
-    exhausted = False
-
-    chosen: list[int] = []
-
-    def admit(c: int) -> bool:
-        for i_pos in range(len(chosen)):
-            mi = line_masks[delta_idx(chosen[i_pos], c)]
-            for j_pos in range(i_pos + 1, len(chosen)):
-                if mi & line_masks[delta_idx(chosen[i_pos], chosen[j_pos])]:
-                    return False
-        for key in ctx.circles_through(c):
-            if circle_count.get(key, 0) >= 3:
-                return False
-        return True
-
-    def dfs(cands: int) -> None:
-        nonlocal best_size, best_set, nodes, exhausted
-        if exhausted:
-            return
+    # Depth-first over an explicit stack: stack[i] holds the candidates
+    # left below chosen[:i + 1], and its lowest index is taken next.  A
+    # level is dropped once its chosen and remaining points cannot beat
+    # the best set.
+    stack = [] if exhausted else [adj[0]]
+    while stack:
+        rest = stack[-1]
+        if len(chosen) + rest.bit_count() <= len(best):
+            stack.pop()
+            for key in circles(chosen.pop()):
+                count[key] -= 1
+            continue
+        low = rest & -rest
+        stack[-1] = rest ^ low
+        c = low.bit_length() - 1
+        # c lies on a line with chosen p and q exactly when some cyclic
+        # subgroup holds both c - p and c - q.
+        seen = shared = 0
+        for p in chosen:
+            mask = line_masks[(c // n - p // n) % n * n + (c - p) % n]
+            shared |= seen & mask
+            seen |= mask
+        if shared or any(count[key] > 2 for key in circles(c)):
+            continue
+        chosen.append(c)
+        for key in circles(c):
+            count[key] += 1
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             exhausted = True
-            return
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_set = tuple(chosen)
-        rest = cands
-        while rest:
-            if len(chosen) + rest.bit_count() <= best_size:
-                return
-            c = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if not admit(c):
-                continue
-            chosen.append(c)
-            for key in ctx.circles_through(c):
-                circle_count[key] = circle_count.get(key, 0) + 1
-            dfs(rest & adj[c])
-            for key in ctx.circles_through(c):
-                circle_count[key] -= 1
-            chosen.pop()
+            break
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        stack.append(stack[-1] & adj[c])
 
-    # fix (0,0) as the first point: any nonempty set translates onto it
-    chosen.append(0)
-    for key in ctx.circles_through(0):
-        circle_count[key] = circle_count.get(key, 0) + 1
-    all_after = 0
-    for i in range(1, total):
-        all_after |= 1 << i
-    dfs(all_after & adj[0])
-
-    witness = tuple(sorted(pts[i] for i in best_set))
-    return ModSearchResult(best_size, witness, not exhausted, nodes)
+    witness = tuple(divmod(i, n) for i in best)
+    return ModSearchResult(len(best), witness, not exhausted, nodes)

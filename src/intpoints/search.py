@@ -441,12 +441,15 @@ def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], 
     ``config``, and any other header, or none, raises ``CheckpointError``.
     A key counts only once its line ends in a newline.  An unterminated
     last line is a write cut short: it is cut off the file, so that its key
-    runs again and the next append starts a line of its own.
+    runs again and the next append starts a line of its own.  A file with
+    no complete line is taken for a cut-short header only when it holds a
+    prefix of this search's header line; anything else raises.
     """
     # A key's records depend on these settings alone: the characteristic
     # filter and the shard only choose keys, so a resume may change them.
     general = "on" if config.require_general_position else "off"
     settings = f"n={config.target_n} general_position={general}"
+    header = f"{_CHECKPOINT_HEADER}{settings}\n".encode()
     with ExitStack() as stack:
         try:
             fh = stack.enter_context(open(path, "a+b"))
@@ -458,6 +461,12 @@ def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], 
                 for number, line in enumerate(data[:complete].splitlines(), 1)
                 if (text := line.decode("ascii", "replace").strip())
             ]
+            if not lines and data.strip() and not header.startswith(data):
+                raise CheckpointError(
+                    f"checkpoint {path} has no header, so the settings it was written "
+                    f"with are unknown (this search: {settings}); it holds no complete "
+                    f"line, only {data[:60].decode('ascii', 'replace')!r}"
+                )
             if lines:
                 number, first = lines[0]
                 found = first.removeprefix(_CHECKPOINT_HEADER)
@@ -484,7 +493,7 @@ def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], 
                 fh.truncate(complete)
             else:
                 fh.truncate(0)
-                fh.write(f"{_CHECKPOINT_HEADER}{settings}\n".encode())
+                fh.write(header)
                 fh.flush()
         except OSError as exc:
             raise CheckpointError(f"cannot use checkpoint {path}: {exc.strerror or exc}") from exc

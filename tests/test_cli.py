@@ -267,6 +267,16 @@ class TestSearchCommand:
         assert "n=4 general_position=on" in err
         assert ck.read_text() == "8 1\n"
 
+    def test_resume_unterminated_foreign_file_exits_2(self, capsys, tmp_path):
+        # no newline, but no prefix of the header either: not a torn header
+        ck = tmp_path / "ck"
+        ck.write_bytes(b"precious data, no newline")
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(ck))
+        assert rc == 2
+        assert not out
+        assert "no header" in err
+        assert ck.read_bytes() == b"precious data, no newline"
+
     def test_resume_with_other_char_filter(self, capsys, tmp_path):
         # --char only chooses keys: a resume under another filter runs the rest
         ck = tmp_path / "ck"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from intpoints.modplane import (
     ModContext,
+    ModSearchResult,
     mod_integral_distance,
     mod_is_collinear,
     mod_max_general_position,
@@ -15,6 +16,30 @@ from intpoints.modplane import (
 
 from .oracles import brute_force_mod_max
 
+
+# (modulus, node budget, size, exact, nodes, witness).  The search order
+# fixes every witness and node count, so a change of order shows here.
+PINNED = [
+    (2, None, 4, True, 4, ((0, 0), (0, 1), (1, 0), (1, 1))),
+    (3, None, 2, True, 4, ((0, 0), (0, 1))),
+    (4, None, 4, True, 32, ((0, 0), (0, 1), (2, 0), (2, 1))),
+    (5, None, 4, True, 53, ((0, 0), (0, 1), (1, 3), (4, 3))),
+    (6, None, 4, True, 86, ((0, 0), (0, 1), (3, 0), (3, 1))),
+    (7, None, 3, True, 85, ((0, 0), (0, 1), (1, 0))),
+    (8, None, 4, True, 399, ((0, 0), (0, 1), (4, 0), (4, 1))),
+    (9, None, 5, True, 2217, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
+    (10, None, 6, True, 5905, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
+    (11, None, 4, True, 754, ((0, 0), (0, 1), (1, 6), (3, 6))),
+    (12, None, 4, True, 1186, ((0, 0), (0, 1), (6, 0), (6, 1))),
+    (13, None, 6, True, 10408, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (14, None, 6, True, 9287, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (15, None, 4, True, 1315, ((0, 0), (0, 1), (3, 0), (3, 11))),
+    (11, 5, 4, False, 6, ((0, 0), (0, 1), (1, 6), (3, 6))),
+    (13, 0, 1, False, 1, ((0, 0),)),
+    (13, 1, 1, False, 2, ((0, 0),)),
+    (13, 100, 6, False, 101, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (14, 500, 6, False, 501, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+]
 
 class TestModContext:
     def test_squares_contain_zero_and_one(self):
@@ -190,6 +215,15 @@ class TestMaxGeneralPosition:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             mod_max_general_position(5, node_budget=-3)
+
+    @pytest.mark.parametrize(
+        "n, budget, size, exact, nodes, witness",
+        PINNED,
+        ids=[f"m{n}-budget{budget}" for n, budget, *_ in PINNED],
+    )
+    def test_pinned_results(self, n, budget, size, exact, nodes, witness):
+        result = mod_max_general_position(n, node_budget=budget)
+        assert result == ModSearchResult(size, witness, exact, nodes)
 
     def test_deterministic(self):
         assert mod_max_general_position(9) == mod_max_general_position(9)

@@ -11,6 +11,7 @@ import pytest
 
 from intpoints.arith import squarefree_part
 from intpoints.cli import _record
+from intpoints.modplane import mod_max_general_position
 from intpoints.pointset import (
     DistanceMatrix,
     canonical_form,
@@ -506,5 +507,7 @@ class TestNoCyclicGarbage:
             for m in records:
                 _record(m)
             assert gc.collect() == 0, "cli._record"
+            assert mod_max_general_position(13).exact
+            assert gc.collect() == 0, "mod_max_general_position"
         finally:
             gc.enable()
