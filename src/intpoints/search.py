@@ -41,7 +41,21 @@ lowest index first; after each new vertex it keeps the candidates among
 its neighbours (a bitset intersection) that lie on no line through it and
 an earlier chosen point and on no circle through it and two earlier chosen
 or base points, and it drops a level once the chosen and remaining
-vertices cannot reach n - 2.
+vertices cannot reach n - 2.  A key whose k-core is empty stops there.
+
+Each point set is canonicalized once per orbit of cliques, not once per
+clique (McKay, "Isomorph-free exhaustive generation", 1998).  The mirror M
+in the base line (vertex v -> v ^ 1) and the bisector reflection R (vertex
+2i + s -> 2j + s, class j being the image of class i) generate a group
+G = {id, M, R, MR}.  Each element keeps distances, edges, the base tests
+and the line and circle tests, so G maps cliques to cliques of the same
+set.  The search yields cliques in lexicographic order of their vertex
+tuples, so the first clique of every set is the least of its G-orbit, the
+orbit leader, and only leaders are canonicalized: a leaf with a smaller
+image under M, R or MR is skipped, and no odd vertex is taken as the root,
+as its mirror would be smaller (odd vertices stay candidates deeper down).
+The set of forms already emitted is still needed: a set with two diameter
+edges is found from both, as two cliques that G does not relate.
 """
 
 from __future__ import annotations
@@ -274,10 +288,17 @@ def _clique_stream(
 
     The depth-first search runs on an explicit stack of candidate bitsets,
     lowest index first, so cliques come out in the order of an ascending
-    index scan.  The body is one generator with no nested function: it
-    holds no reference cycle, and a finished or closed stream leaves
-    nothing for the cyclic collector.  The module docstring describes the
-    stages.
+    index scan.  A key whose k-core is empty returns before the search is
+    set up.  Of each orbit of cliques under G = {id, M, R, MR}, with M the
+    mirror v -> v ^ 1 and R the bisector reflection 2i + s -> 2j + s, only
+    the least reaches ``canonical_form``: a leaf is skipped when M, R or MR
+    maps it to a smaller sorted tuple, and odd vertices are never taken as
+    the root.  The first clique of a set is its orbit's least, so the
+    output is unchanged.  ``seen`` stays, because a set with two diameter
+    edges is found from both, by cliques that G does not relate.  The body
+    is one generator with no nested function: it holds no reference cycle,
+    and a finished or closed stream leaves nothing for the cyclic
+    collector.  The module docstring describes the stages.
     """
     need = config.target_n - 2
     edge_unit = 4 * d * d
@@ -294,16 +315,17 @@ def _clique_stream(
     # (a, b, X, S) to (b, a, x2 - X, S): it swaps the base points and keeps
     # y signs and distances, so two classes are joined exactly when their
     # images are.  `seq` holds each class next to its image, then the
-    # classes that R fixes.  An entry is (X, S, k*S^2, the class's index,
-    # its image's index).
+    # classes that R fixes.  An entry is (X, S, k*S^2, the class's index);
+    # `image_of` gives the index of each class's image.
     position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
+    image_of = [position[b, a] for a, b, _, _ in classes]
     pairs, fixed = [], []
-    for i, (a, b, x, y) in enumerate(classes):
-        j = position[b, a]
+    for i, (_, _, x, y) in enumerate(classes):
+        j = image_of[i]
         if i == j:
-            fixed.append((x, y, k * y * y, i, i))
+            fixed.append((x, y, k * y * y, i))
         elif i < j:
-            pairs += [(x, y, k * y * y, i, j), (x2 - x, y, k * y * y, j, i)]
+            pairs += [(x, y, k * y * y, i), (x2 - x, y, k * y * y, j)]
     seq = pairs + fixed
 
     adj = [0] * nv
@@ -312,7 +334,7 @@ def _clique_stream(
     # fixed class.  A row tests the classes after it in `seq`, so each orbit
     # of class pairs is tested once, and an edge also joins the images.
     for ci in chain(range(0, len(pairs), 2), range(len(pairs), len(seq))):
-        x, y, ky, i, image = seq[ci]
+        x, y, ky, i = seq[ci]
         later = seq[ci:]
         # Squared scaled distances from this class to every class in
         # `later`, with equal and with opposite signs of y (a class and
@@ -320,8 +342,8 @@ def _clique_stream(
         # t has n2 = (2d*t)^2, so only nonzero multiples of 4d^2 go on, and
         # the exact root is taken of the quotient t^2.
         two_ky = 2 * k * y
-        sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _, _ in later]
-        cross = [two_ky * yq for _, yq, _, _, _ in later]
+        sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _ in later]
+        cross = [two_ky * yq for _, yq, _, _ in later]
         base_tests = None
         for flip, n2s in (
             (0, [s - c for s, c in zip(sums, cross)]),
@@ -332,7 +354,7 @@ def _clique_stream(
                 t = math.isqrt(t2)
                 if t * t != t2 or t > d:
                     continue
-                xq, yq, _, iq, image_q = later[j]
+                xq, yq, _, iq = later[j]
                 if general:
                     if base_tests is None:
                         # q on one of these is collinear with a base point
@@ -344,12 +366,10 @@ def _clique_stream(
                         continue
                 # the edge joins the vertices with the sign relation tested
                 # (flip 0: equal signs), in this class pair and in its image
-                for one, other in ((i, iq), (image, image_q)):
+                for one, other in ((i, iq), (image_of[i], image_of[iq])):
                     for vp, vq in ((2 * one, 2 * other + flip), (2 * one + 1, 2 * other + 1 - flip)):
                         adj[vp] |= 1 << vq
                         adj[vq] |= 1 << vp
-
-    lifts = [(x * x + k * y * y, x, y) for _, _, x, s in classes for y in (-s, s)]
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
     # neighbours in it.
@@ -361,6 +381,12 @@ def _clique_stream(
             if alive >> v & 1 and (adj[v] & alive).bit_count() < need - 1:
                 alive ^= 1 << v
                 shrinking = True
+    if not alive:
+        return
+
+    lifts = [(x * x + k * y * y, x, y) for _, _, x, s in classes for y in (-s, s)]
+    # R on vertices; the mirror M in the base line is v ^ 1
+    reflect = [2 * j + side for j in image_of for side in (0, 1)]
 
     # Depth-first over an explicit stack: stack[i] holds the candidates
     # left at depth i, where chosen[:i] is fixed, and its lowest bit is
@@ -379,8 +405,20 @@ def _clique_stream(
         low = cands & -cands
         stack[-1] = cands ^ low
         v = low.bit_length() - 1
+        if not chosen and v & 1:
+            continue  # an orbit leader's lowest vertex is even
         chosen.append(v)
         if len(chosen) == need:
+            # Only the least clique of each orbit under {id, M, R, MR}
+            # goes on; it is the first of its orbit that the DFS reaches.
+            images = (
+                sorted([u ^ 1 for u in chosen]),
+                sorted([reflect[u] for u in chosen]),
+                sorted([reflect[u] ^ 1 for u in chosen]),
+            )
+            if min(images) < chosen:
+                chosen.pop()
+                continue
             n = config.target_n
             rows = [[0] * n for _ in range(n)]
             rows[0][1] = rows[1][0] = d

@@ -412,6 +412,25 @@ class TestDeterminism:
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    def test_search_n4_window_pinned(self, capsys, monkeypatch):
+        # d = 64..101 holds every window of the benchmark's n = 4 workload;
+        # only the least clique of each orbit under the two reflections of
+        # the base edge is canonicalized (8 287 calls when all were)
+        module = sys.modules["intpoints.search"]
+        original = module.canonical_form
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(module, "canonical_form", counting)
+        rc, out, _ = run(capsys, "search", "--n", "4", "--dmin", "64", "--dmax", "101")
+        assert rc == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "0d7edee0b8a082b2e46c91a9020a98b68f03547dd90957a025080da93359d766"
+        assert len(calls) <= 2479
+
     def test_search_char_1_pinned(self, capsys):
         # characteristic 1: the integral-coordinate cluster candidates
         rc, out, _ = run(capsys, "search", "--n", "4", "--dmax", "60", "--char", "1")

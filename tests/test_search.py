@@ -5,7 +5,7 @@ import random
 from array import array
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -268,18 +268,33 @@ class TestExtendCliques:
         assert [m for m in unfiltered if set_characteristics(m) == {k}] == expected
 
 
+def naive_vertices(d, k):
+    """Naive candidates of characteristic k in the clique engine's vertex
+    order: class i is the i-th (a, b) in sorted order, vertex 2i lies below
+    the base line and vertex 2i + 1 above it."""
+    cands = [c for c in naive_candidates(d) if c[4] == k]
+    return sorted(cands, key=lambda c: (c[0], c[1], c[3]))
+
+
 def brute_force_cliques(d, k, n):
     """Canonical rows of every set of the base points and n - 2 naive
     candidates at pairwise integral distances at most d, by enumerating all
     subsets, each with whether it is in general position."""
-    cands = [c for c in naive_candidates(d) if c[4] == k]
+    return {rows: passed for _, rows, passed in brute_force_vertex_cliques(d, k, n)}
+
+
+def brute_force_vertex_cliques(d, k, n):
+    """Every clique of ``brute_force_cliques`` as (its vertices in
+    ``naive_vertices`` order, canonical rows, whether it is in general
+    position), in lexicographic order of the vertex tuples."""
+    cands = naive_vertices(d, k)
     dist = {}
     for i, j in combinations(range(len(cands)), 2):
         sq = (cands[i][2] - cands[j][2]) ** 2 + k * (cands[i][3] - cands[j][3]) ** 2
         t = math.isqrt(sq.numerator)
         if sq.denominator == 1 and t * t == sq.numerator and t <= d:
             dist[i, j] = t
-    found = {}
+    found = []
     for chosen in combinations(range(len(cands)), n - 2):
         if not all(pair in dist for pair in combinations(chosen, 2)):
             continue
@@ -291,7 +306,7 @@ def brute_force_cliques(d, k, n):
         for (ci, i), (cj, j) in combinations(enumerate(chosen), 2):
             rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = dist[i, j]
         m, _ = canonical_form(DistanceMatrix(rows))
-        found[m.rows] = verify(m).passed
+        found.append((chosen, m.rows, verify(m).passed))
     return found
 
 
@@ -335,6 +350,64 @@ class TestReflectedEdgeBuild:
                 assert canonical_form(DistanceMatrix(rows))[0] in found
                 adjacent.add((a, b))
         assert {(25, 25), (26, 26), (30, 30), (29, 35), (35, 29)} <= adjacent
+
+
+def vertex_set(rows, verts, k):
+    """The least of the two vertex sets, one the base-line mirror of the
+    other, whose points have the distances of ``rows`` to the base points
+    and to each other."""
+    position = {(c[0], c[1]): i for i, c in enumerate(verts[::2])}
+    classes = [position[rows[0][j], rows[1][j]] for j in range(2, len(rows))]
+    found = []
+    for sides in product((0, 1), repeat=len(classes)):
+        chosen = [2 * i + side for i, side in zip(classes, sides)]
+        points = [verts[v] for v in chosen]
+        if all(
+            (p[2] - q[2]) ** 2 + k * (p[3] - q[3]) ** 2 == rows[i + 2][j + 2] ** 2
+            for (i, p), (j, q) in combinations(enumerate(points), 2)
+        ):
+            found.append(tuple(sorted(chosen)))
+    return min(found)
+
+
+class TestOrbitLeaders:
+    """Of each orbit of cliques under the mirror M in the base line and the
+    reflection R in the perpendicular bisector, only the least reaches
+    canonical_form, and the output is still every clique's set, first seen
+    first.  Checked against cliques of naively scanned candidates."""
+
+    @pytest.mark.parametrize("d, k", [(100, 1), (65, 1), (48, 1), (16, 15)])
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("general", [True, False])
+    def test_matches_brute_force(self, monkeypatch, d, k, n, general):
+        verts = naive_vertices(d, k)
+        position = {(c[0], c[1]): i for i, c in enumerate(verts[::2])}
+        cliques = [
+            (chosen, rows)
+            for chosen, rows, passed in brute_force_vertex_cliques(d, k, n)
+            if passed or not general
+        ]
+
+        def is_leader(chosen):
+            # R takes class (a, b) to class (b, a) and keeps the side
+            r = [2 * position[verts[v][1], verts[v][0]] + (v & 1) for v in chosen]
+            images = ([v ^ 1 for v in chosen], r, [v ^ 1 for v in r])
+            return all(chosen <= tuple(sorted(image)) for image in images)
+
+        leaders = [chosen for chosen, _ in cliques if is_leader(chosen)]
+        reached = []
+        original = search_module.canonical_form
+
+        def recording(m):
+            reached.append(vertex_set(m.rows, verts, k))
+            return original(m)
+
+        monkeypatch.setattr(search_module, "canonical_form", recording)
+        cfg = SearchConfig(n, d, d, CharFilter.fixed(k), require_general_position=general)
+        out = [m.rows for m in search(cfg)]
+        assert reached == leaders
+        assert out == list(dict.fromkeys(rows for _, rows in cliques))
+        assert not cliques or len(leaders) < len(cliques)
 
 
 class TestSearch:
