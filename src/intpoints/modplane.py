@@ -4,12 +4,16 @@ Points of the modular plane are at integral distance when the sum of
 squared coordinate differences is a square in Z_n; lines are parametric
 images {(a + w*t1, b + w*t2)} and circles are solution sets of
 (x-a)^2 + (y-b)^2 = r^2 with r != 0.  All three predicates are
-translation invariant, which the maximum-size search exploits.
+invariant under translation and under the stabilizer of (0, 0) that the
+swap, the negation of x, unit scalings and the rotations of determinant 1
+generate; the maximum-size search fixes its first point by the former and
+takes one second point per orbit of the latter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
 ModPoint = tuple[int, int]
@@ -128,6 +132,40 @@ def mod_on_circle(
     return False
 
 
+def origin_orbits(n: int) -> list[int]:
+    """For each point i = (i // n, i % n) of Z_n^2, the bitmask of its orbit
+    under the stabilizer of (0, 0) generated by the swap (x, y) -> (y, x),
+    the negation (x, y) -> (-x, y), the scalings by units u and the
+    rotations [[a, -b], [b, a]] with a^2 + b^2 = 1.
+
+    Each generator multiplies every squared length by a square unit and maps
+    lines to lines and circles of nonzero radius to circles of nonzero
+    radius, so all three predicates are invariant.  The swap is the
+    negation after the rotation by (0, 1), and the negation conjugates a
+    rotation to its inverse, so the orbit of (x, y) is the points
+    u*R*(x, y) and u*R*(-x, y) over all units u and rotations R.
+    """
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    rotations = [(a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1]
+    orbits = [0] * (n * n)
+    for p in range(n * n):
+        if orbits[p]:
+            continue
+        x, y = divmod(p, n)
+        mask = 0
+        for a, b in rotations:
+            for u, v in ((a * x - b * y, b * x + a * y), (-a * x - b * y, a * y - b * x)):
+                if not mask >> (u % n * n + v % n) & 1:
+                    for w in units:
+                        mask |= 1 << (w * u % n * n + w * v % n)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            orbits[low.bit_length() - 1] = mask
+            rest ^= low
+    return orbits
+
+
 @dataclass(frozen=True)
 class ModSearchResult:
     size: int
@@ -143,7 +181,9 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     Backtracking clique search over the integral-distance graph with
     incremental line and circle constraints and a best-so-far bound
     (Carraghan and Pardalos 1990).  All predicates are translation
-    invariant, so the first point is fixed at (0,0).  A node is the root
+    invariant, so the first point is fixed at (0,0), and invariant under
+    the stabilizer of (0,0) (``origin_orbits``), so the second point runs
+    over the least point of each orbit only (McKay 1998).  A node is the root
     and each admitted set after it; when ``node_budget`` nodes are
     exhausted the best set found so far is returned flagged as a lower
     bound (``exact=False``); a negative budget raises ``ValueError``.
@@ -169,6 +209,7 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     ]
 
     line_masks = ctx.line_masks()
+    orbits = origin_orbits(n)
     circles = ctx.circles_through
     count = [0] * (total * n)  # chosen points on each circle, by circle key
 
@@ -181,7 +222,10 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     # Depth-first over an explicit stack: stack[i] holds the candidates
     # left below chosen[:i + 1], and its lowest index is taken next.  A
     # level is dropped once its chosen and remaining points cannot beat
-    # the best set.
+    # the best set.  Taking the second point c drops c's whole orbit from
+    # its level; c's child keeps the later members.  A set whose least
+    # orbit leader is c maps, by an element sending its point of c's orbit
+    # to c, onto a set in c's branch.
     stack = [] if exhausted else [adj[0]]
     while stack:
         rest = stack[-1]
@@ -191,8 +235,8 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
                 count[key] -= 1
             continue
         low = rest & -rest
-        stack[-1] = rest ^ low
         c = low.bit_length() - 1
+        stack[-1] = rest & ~orbits[c] if len(stack) == 1 else rest ^ low
         # c lies on a line with chosen p and q exactly when some cyclic
         # subgroup holds both c - p and c - q.
         seen = shared = 0
@@ -211,7 +255,7 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
             break
         if len(chosen) > len(best):
             best = tuple(chosen)
-        stack.append(stack[-1] & adj[c])
+        stack.append((rest ^ low) & adj[c])
 
     witness = tuple(divmod(i, n) for i in best)
     return ModSearchResult(len(best), witness, not exhausted, nodes)

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from intpoints.modplane import (
     mod_is_collinear,
     mod_max_general_position,
     mod_on_circle,
+    origin_orbits,
 )
 
 from .oracles import brute_force_mod_max
@@ -21,25 +23,47 @@ from .oracles import brute_force_mod_max
 # fixes every witness and node count, so a change of order shows here.
 PINNED = [
     (2, None, 4, True, 4, ((0, 0), (0, 1), (1, 0), (1, 1))),
-    (3, None, 2, True, 4, ((0, 0), (0, 1))),
-    (4, None, 4, True, 32, ((0, 0), (0, 1), (2, 0), (2, 1))),
-    (5, None, 4, True, 53, ((0, 0), (0, 1), (1, 3), (4, 3))),
-    (6, None, 4, True, 86, ((0, 0), (0, 1), (3, 0), (3, 1))),
-    (7, None, 3, True, 85, ((0, 0), (0, 1), (1, 0))),
-    (8, None, 4, True, 399, ((0, 0), (0, 1), (4, 0), (4, 1))),
-    (9, None, 5, True, 2217, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
-    (10, None, 6, True, 5905, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
-    (11, None, 4, True, 754, ((0, 0), (0, 1), (1, 6), (3, 6))),
-    (12, None, 4, True, 1186, ((0, 0), (0, 1), (6, 0), (6, 1))),
-    (13, None, 6, True, 10408, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
-    (14, None, 6, True, 9287, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
-    (15, None, 4, True, 1315, ((0, 0), (0, 1), (3, 0), (3, 11))),
+    (3, None, 2, True, 2, ((0, 0), (0, 1))),
+    (4, None, 4, True, 6, ((0, 0), (0, 1), (2, 0), (2, 1))),
+    (5, None, 4, True, 11, ((0, 0), (0, 1), (1, 3), (4, 3))),
+    (6, None, 4, True, 23, ((0, 0), (0, 1), (3, 0), (3, 1))),
+    (7, None, 3, True, 7, ((0, 0), (0, 1), (1, 0))),
+    (8, None, 4, True, 92, ((0, 0), (0, 1), (4, 0), (4, 1))),
+    (9, None, 5, True, 139, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
+    (10, None, 6, True, 801, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
+    (11, None, 4, True, 27, ((0, 0), (0, 1), (1, 6), (3, 6))),
+    (12, None, 4, True, 83, ((0, 0), (0, 1), (6, 0), (6, 1))),
+    (13, None, 6, True, 345, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (14, None, 6, True, 503, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (15, None, 4, True, 79, ((0, 0), (0, 1), (3, 0), (3, 11))),
+    # past the benchmark's moduli; m = 18 takes about a minute
+    (16, None, 6, True, 8393, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
+    (17, None, 6, True, 1880, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
+    (19, None, 5, True, 674, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
+    (20, None, 6, True, 10546, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
+    (21, None, 4, True, 38, ((0, 0), (0, 1), (3, 4), (18, 11))),
+    (22, None, 8, True, 9323, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
+    (23, None, 5, True, 2839, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
     (11, 5, 4, False, 6, ((0, 0), (0, 1), (1, 6), (3, 6))),
     (13, 0, 1, False, 1, ((0, 0),)),
     (13, 1, 1, False, 2, ((0, 0),)),
     (13, 100, 6, False, 101, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
     (14, 500, 6, False, 501, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
 ]
+
+
+def stabilizer_generators(n):
+    """The swap, the negation of x, the unit scalings and the rotations of
+    determinant 1, as integer 2x2 matrices acting mod n."""
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    rotations = [((a, -b), (b, a)) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1]
+    return [((0, 1), (1, 0)), ((-1, 0), (0, 1))] + [((u, 0), (0, u)) for u in units] + rotations
+
+
+def act(g, p, n):
+    (a, b), (c, d) = g
+    return ((a * p[0] + b * p[1]) % n, (c * p[0] + d * p[1]) % n)
+
 
 class TestModContext:
     def test_squares_contain_zero_and_one(self):
@@ -174,6 +198,59 @@ class TestOnCircle:
         assert mod_on_circle(*moved, ctx) == base
 
 
+class TestOriginSymmetry:
+    def test_generators_fix_the_origin(self):
+        for n in range(2, 16):
+            for g in stabilizer_generators(n):
+                assert act(g, (0, 0), n) == (0, 0), (n, g)
+
+    def test_generators_preserve_the_predicates(self):
+        rng = random.Random(16)
+        seen = set()
+        for n in range(2, 16):
+            ctx = ModContext(n)
+            for g in stabilizer_generators(n):
+                for _ in range(2):
+                    pts = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+                    moved = [act(g, p, n) for p in pts]
+                    checks = [
+                        ("distance", mod_integral_distance(pts[0], pts[1], ctx),
+                         mod_integral_distance(moved[0], moved[1], ctx)),
+                        ("line", mod_is_collinear(pts[:3], ctx), mod_is_collinear(moved[:3], ctx)),
+                        ("circle", mod_on_circle(*pts, ctx), mod_on_circle(*moved, ctx)),
+                    ]
+                    for name, before, after in checks:
+                        assert before == after, (n, g, name, pts)
+                        seen.add((name, before))
+        # both outcomes of every predicate were sampled
+        assert len(seen) == 6
+
+    def test_orbits_are_the_generator_closures(self):
+        for n in range(2, 16):
+            orbits = origin_orbits(n)
+            gens = stabilizer_generators(n)
+            assert len(orbits) == n * n
+            covered = 0
+            for leader in range(n * n):
+                if covered >> leader & 1:
+                    continue
+                closure, todo = {leader}, [leader]
+                while todo:
+                    p = divmod(todo.pop(), n)
+                    for g in gens:
+                        u, v = act(g, p, n)
+                        if u * n + v not in closure:
+                            closure.add(u * n + v)
+                            todo.append(u * n + v)
+                # orbits met in index order: each starts at its least index
+                assert min(closure) == leader
+                mask = sum(1 << i for i in closure)
+                assert all(orbits[i] == mask for i in closure), (n, leader)
+                assert not covered & mask
+                covered |= mask
+            assert covered == (1 << n * n) - 1
+
+
 class TestMaxGeneralPosition:
     def test_matches_brute_force_small(self):
         for n in range(2, 9):
@@ -194,7 +271,7 @@ class TestMaxGeneralPosition:
         assert result.size == brute_force_mod_max(13)[0]
 
     def test_witness_is_valid(self):
-        for n in (5, 8, 13):
+        for n in range(2, 16):
             ctx = ModContext(n)
             res = mod_max_general_position(n)
             wit = res.witness
