@@ -43,6 +43,18 @@ an earlier chosen point and on no circle through it and two earlier chosen
 or base points, and it drops a level once the chosen and remaining
 vertices cannot reach n - 2.  A key whose k-core is empty stops there.
 
+Most keys at n = 4 are decided before any of this.  Unless k is a square,
+the two vertices of one class lie an irrational 2S*sqrt(k)/(2d) apart, so a
+clique holds at most one of them.  A key of one class c and its bisector
+image c' then holds a 4-point set only through an edge from c to c', and
+there are two.  With opposite signs of y, (0, 0), p, (d, 0) and p' form a
+parallelogram whose diagonals are the base and the edge, so t^2 = 2a^2 +
+2b^2 - d^2.  With equal signs they form an isosceles trapezoid whose top
+side has length |a^2 - b^2| / d.  When neither is an integer of at most d,
+the key stops at once.  Both lengths are tested with general position on
+or off.  At n = 3 a single vertex is a set, so the rule applies at n = 4
+only.
+
 Each point set is canonicalized once per orbit of cliques, not once per
 clique (McKay, "Isomorph-free exhaustive generation", 1998).  The mirror M
 in the base line (vertex v -> v ^ 1) and the bisector reflection R (vertex
@@ -289,27 +301,44 @@ def _clique_stream(
     The depth-first search runs on an explicit stack of candidate bitsets,
     lowest index first, so cliques come out in the order of an ascending
     index scan.  A key whose k-core is empty returns before the search is
-    set up.  Of each orbit of cliques under G = {id, M, R, MR}, with M the
-    mirror v -> v ^ 1 and R the bisector reflection 2i + s -> 2j + s, only
-    the least reaches ``canonical_form``: a leaf is skipped when M, R or MR
-    maps it to a smaller sorted tuple, and odd vertices are never taken as
-    the root.  The first clique of a set is its orbit's least, so the
-    output is unchanged.  ``seen`` stays, because a set with two diameter
-    edges is found from both, by cliques that G does not relate.  The body
-    is one generator with no nested function: it holds no reference cycle,
-    and a finished or closed stream leaves nothing for the cyclic
-    collector.  The module docstring describes the stages.
+    set up.  At n = 4 with k not a square, a key of one class pair returns
+    before any set-up when neither of its two possible edges, the
+    parallelogram diagonal and the trapezoid's top side, has integral
+    length at most d: a clique holds one vertex of each class, so it needs
+    one of these edges (module docstring).  Of each orbit of cliques under
+    G = {id, M, R, MR}, with M the mirror v -> v ^ 1 and R the bisector
+    reflection 2i + s -> 2j + s, only the least reaches ``canonical_form``:
+    a leaf is skipped when M, R or MR maps it to a smaller sorted tuple,
+    and odd vertices are never taken as the root.  The first clique of a
+    set is its orbit's least, so the output is unchanged.  ``seen`` stays,
+    because a set with two diameter edges is found from both, by cliques
+    that G does not relate.  The body is one generator with no nested
+    function: it holds no reference cycle, and a finished or closed stream
+    leaves nothing for the cyclic collector.  The module docstring
+    describes the stages.
     """
     need = config.target_n - 2
+    nv = 2 * len(classes)
+    square = math.isqrt(k) ** 2 == k
+    # Mirror partners lie 2S*sqrt(k) apart, irrational unless k is a
+    # square, so then a clique holds at most one vertex of each class.
+    if (nv if square else len(classes)) < need:
+        return
+    # So at n = 4 a key of one class c and its image c' needs an edge
+    # c-c'.  With opposite signs of y, (0, 0), p, (d, 0), p' form a
+    # parallelogram with diagonals d and t; with equal signs, a trapezoid
+    # with top side t.
+    if need == 2 and not square and len(classes) == 2 and classes[0][:2] == classes[1][1::-1]:
+        a, b = classes[0][:2]
+        t2 = 2 * a * a + 2 * b * b - d * d
+        top, rest = divmod(abs(a * a - b * b), d)
+        if (math.isqrt(t2) ** 2 != t2 or t2 > d * d) and (rest or top > d):
+            return
+
     edge_unit = 4 * d * d
     x2 = 2 * d * d
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
-    nv = 2 * len(classes)
     general = config.require_general_position
-    # Mirror partners lie 2S*sqrt(k) apart, irrational unless k is a
-    # square, so then a clique holds at most one vertex of each class.
-    if (nv if math.isqrt(k) ** 2 == k else len(classes)) < need:
-        return
 
     # The reflection R in the perpendicular bisector of the base maps class
     # (a, b, X, S) to (b, a, x2 - X, S): it swaps the base points and keeps

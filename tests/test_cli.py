@@ -440,11 +440,17 @@ class TestDeterminism:
 
     def test_search_rows_pinned_general_position_off(self):
         # the CLI always requires general position; with it off the DFS
-        # keeps every candidate among the neighbours of a chosen vertex
-        rows = [m.rows for m in search(SearchConfig(6, 1, 60, require_general_position=False))]
-        assert len(rows) == 1118
-        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "b7e62636337da24c1eb92ef9b34d6c582c534618b499444c4470b6f3fd6cdc23"
+        # keeps every candidate among the neighbours of a chosen vertex; at
+        # n = 4 a key of one class pair holds a set through either of its
+        # two edges, the parallelogram diagonal or the trapezoid's top side
+        for n, count, pinned in (
+            (6, 1118, "b7e62636337da24c1eb92ef9b34d6c582c534618b499444c4470b6f3fd6cdc23"),
+            (4, 6867, "f1b45fcabef097b8ce9f390ff30154bbb49d05716821532ebdce4b64fff44c45"),
+        ):
+            rows = [m.rows for m in search(SearchConfig(n, 1, 60, require_general_position=False))]
+            assert len(rows) == count, n
+            digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+            assert digest == pinned, n
 
     def test_verify_output_stable(self, capsys, heptagon1_file):
         _, first, _ = run(capsys, "verify", str(heptagon1_file))

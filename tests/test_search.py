@@ -424,9 +424,11 @@ class TestSearch:
             report = verify(m)
             assert report.passed, report.lines()
 
-    def test_matches_brute_force_n4(self):
-        ours = {m.rows for m in search(SearchConfig(4, 1, 30))}
-        brute = brute_force_point_sets(4, 30)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_brute_force(self, n):
+        # at n = 3 one candidate is a set; at n = 4 a set needs an edge
+        ours = {m.rows for m in search(SearchConfig(n, 1, 30))}
+        brute = brute_force_point_sets(n, 30)
         assert ours == brute
 
     def test_no_duplicates(self):
