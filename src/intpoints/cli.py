@@ -138,6 +138,7 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     count = 0
+    out_of_memory = False
     try:
         for m in search(config, checkpoint=args.resume):
             # the checkpoint line of a key is written on the next step of
@@ -146,6 +147,18 @@ def cmd_search(args) -> int:
             count += 1
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # reported once the handler has let go of the traceback, whose
+        # frames hold the search's partly built candidate index
+        out_of_memory = True
+    if out_of_memory:
+        print(
+            f"error: out of memory after {count} point set(s), searching diameters "
+            f"{config.d_min}..{config.d_max} (the candidate index of one diameter d "
+            "holds up to d(d+1)/2 candidates)",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     print(f"# {count} point set(s)", file=sys.stderr)
     return EXIT_OK

@@ -43,6 +43,25 @@ an earlier chosen point and on no circle through it and two earlier chosen
 or base points, and it drops a level once the chosen and remaining
 vertices cannot reach n - 2.  A key whose k-core is empty stops there.
 
+Most pairs that the screen would reject are never formed.  As X^2 + kY^2 =
+4d^2 a^2, a pair passes the screen exactly when X*Xq + k*Y*Yq = 0 mod 2d^2.
+Let p be an odd prime with p^e || d and p^v || gcd(X, Y), and let X' =
+X/p^v and Y' = Y/p^v.  If v < e, then X'^2 + kY'^2 = 0 mod p^2, which
+rules out p | k, and so X'/Y' = +-s mod p for a root s of -k: the vertex
+has a sign at p.  Two vertices with signs at p pass the screen only when
+X'Xq' + kY'Yq' = 0 mod p, that is when their signs agree.  A vertex with
+v >= e is a wildcard at p, and every vertex is one when p divides k or -k
+is not a square mod p, so no root and no Legendre symbol is needed: "same
+sign" is X'*Y1' = X1'*Y' mod p against the first class with a sign at p.
+The mirror in the base line and the bisector reflection both flip every
+sign.  So each class and its bisector image are oriented to agree with
+that first class at their lowest prime with a sign, and these pairs are
+grouped by sign pattern.  A row tests, with equal signs of y, the blocks
+whose pattern agrees with its own where both have signs, and with
+opposite signs of y those whose pattern is opposite there; the reflection
+still halves the tests within each block.  The primes of d are factored
+once per d.  The prime 2 is left out.
+
 Most keys at n = 4 are decided before any of this.  Unless k is a square,
 the two vertices of one class lie an irrational 2S*sqrt(k)/(2d) apart, so a
 clique holds at most one of them.  A key of one class c and its bisector
@@ -77,11 +96,12 @@ from array import array
 from bisect import bisect_right
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 from operator import floordiv, mul
 from typing import BinaryIO, Iterator, Optional
 
-from .arith import decimal_int, squarefree_part
+from .arith import decimal_int, factorize, squarefree_part
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
 
 # ---------------------------------------------------------------------------
@@ -282,6 +302,146 @@ def _candidate_groups(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _odd_prime_powers(d: int) -> tuple[tuple[int, int], ...]:
+    """(p, p^e) for each odd prime p with p^e || d, in increasing order.
+
+    Cached for one d: a search takes the keys of each d in a row.
+    """
+    return tuple((p, p**e) for p, e in sorted(factorize(d).items()) if p > 2)
+
+
+def _sign_groups(
+    d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int]
+) -> list[tuple[tuple[int, int], tuple[list, list]]]:
+    """The reflection pairs of ``classes`` grouped by their signs at the odd
+    primes of d, as ((care, bits), (lows, highs)) in order of first use.
+
+    At a prime p with p^e || d, a class has a sign when p^e does not divide
+    both X and S: X/S, with the common power of p taken out, is then
+    congruent mod p to that of the first class with a sign there, the
+    reference, or to its negative.  ``care`` has a bit for each prime where
+    the class has a sign, ``bits`` one for each of those where its upper
+    vertex (Y = S) has the sign opposite to the reference's.  The bisector
+    reflection flips every sign, so each pair is oriented to agree with the
+    reference at its lowest prime in ``care``: that class goes to ``lows``
+    and its image to ``highs``, at the same place.  The classes that the
+    reflection fixes have no sign and follow the pairs in the lows of group
+    (0, 0).  An entry is (X, S, k*S^2, the class's index).
+    """
+    x2 = 2 * d * d
+    primes = _odd_prime_powers(d)
+    refs: list[Optional[tuple[int, int]]] = [None] * len(primes)
+    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    fixed = []
+    for i, (_, _, x, y) in enumerate(classes):
+        j = image_of[i]
+        if i == j:
+            fixed.append((x, y, k * y * y, i))
+        elif i < j:
+            care = bits = 0
+            for bit, (p, pe) in enumerate(primes):
+                g = math.gcd(x, y, pe)
+                if g != pe:
+                    care |= 1 << bit
+                    ref = refs[bit]
+                    if ref is None:
+                        refs[bit] = (x // g, y // g)
+                    elif (x // g * ref[1] - ref[0] * (y // g)) % p:
+                        bits |= 1 << bit
+            low, high = (x, y, k * y * y, i), (x2 - x, y, k * y * y, j)
+            if bits & care & -care:
+                low, high, bits = high, low, bits ^ care
+            lows, highs = groups.setdefault((care, bits), ([], []))
+            lows.append(low)
+            highs.append(high)
+    if fixed:
+        groups.setdefault((0, 0), ([], []))[0].extend(fixed)
+    return list(groups.items())
+
+
+def _adjacency(
+    d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int], general: bool
+) -> list[int]:
+    """Neighbour bitsets of the signed vertices of ``classes``, vertex 2i
+    below the base line and 2i + 1 above it, as ``_clique_stream`` numbers
+    them: two vertices are joined when they lie an integral distance of at
+    most d apart and, with ``general``, on no line through a base point and
+    on no circle through both.
+
+    Each low of ``_sign_groups`` is one row.  Two classes whose signs
+    differ at a prime where both have one fail the 4d^2 screen with equal
+    signs of y, and two whose signs agree there fail it with opposite signs
+    (module docstring).  So a row tests, with equal signs, the lows of each
+    later group whose bits agree with its own on the primes both groups
+    care about and the highs of each one whose bits are opposite there, and
+    with opposite signs the other way round; a group with no common prime
+    is tested both ways.  The r-th low of a group tests the lows and highs
+    of its own group from the r-th on, so each orbit of class pairs under
+    the reflection is tested once, and an edge found also joins the images.
+    """
+    edge_unit = 4 * d * d
+    x2 = 2 * d * d
+    base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
+    adj = [0] * (2 * len(classes))
+    blocks = _sign_groups(d, k, classes, image_of)
+    for gi, ((care, bits), (lows, highs)) in enumerate(blocks):
+        same: list = []
+        opposite: list = []
+        for (care2, bits2), (lows2, highs2) in blocks[gi + 1 :]:
+            common = care & care2
+            differ = (bits ^ bits2) & common
+            if not differ:
+                same += lows2
+                opposite += highs2
+            if differ == common:
+                same += highs2
+                opposite += lows2
+        for r, (x, y, ky, i) in enumerate(lows):
+            equal = lows[r + 1 :] + same
+            flipped = highs[r:] + opposite
+            if not care:
+                equal += highs[r:]
+                flipped += lows[r:]  # the class itself: its mirror pair
+            # Squared scaled distances to the classes tested with equal
+            # (flip 0) and with opposite (flip 1) signs of y; no two of the
+            # vertices coincide.  An edge of length t has n2 = (2d*t)^2, so
+            # only multiples of 4d^2 go on, and the exact root is taken of
+            # the quotient t^2.
+            two_ky = 2 * k * y
+            base_tests = None
+            for flip, cross, targets in ((0, -two_ky, equal), (1, two_ky, flipped)):
+                n2s = [(x - xq) ** 2 + ky + kyq + cross * yq for xq, yq, kyq, _ in targets]
+                for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0]:
+                    t2 = n2s[j] // edge_unit
+                    t = math.isqrt(t2)
+                    if t * t != t2 or t > d:
+                        continue
+                    xq, yq, _, iq = targets[j]
+                    if general:
+                        if base_tests is None:
+                            # q on one of these is collinear with a base
+                            # point and p, or concyclic with both base
+                            # points and p
+                            p = (x * x + ky, x, y)
+                            base_tests = (
+                                _line(base1, p), _line(base2, p), _circle(base1, base2, p)
+                            )
+                        yq = -yq if flip else yq
+                        if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
+                            continue
+                    # the edge joins the vertices with the sign relation
+                    # tested (flip 0: equal signs), in this class pair and
+                    # in its image
+                    for one, other in ((i, iq), (image_of[i], image_of[iq])):
+                        for vp, vq in (
+                            (2 * one, 2 * other + flip), (2 * one + 1, 2 * other + 1 - flip)
+                        ):
+                            adj[vp] |= 1 << vq
+                            adj[vq] |= 1 << vp
+    return adj
+
+
 def _clique_stream(
     d: int,
     k: int,
@@ -297,6 +457,14 @@ def _clique_stream(
     (Y = S), so the vertices are in sorted (a, b, X, Y) order.  Pairwise
     distances are capped at d: the base edge must stay the diameter, so any
     longer pair belongs to a different base.
+
+    The edges come from ``_adjacency``.  It groups the reflection pairs of
+    classes by their signs at the odd primes of d (``_sign_groups``) and
+    tests a pair of classes with equal signs of y only where their signs
+    agree and with opposite signs only where they are opposite: the other
+    pairs fail the 4d^2 screen.  The screen, the exact root, the base tests
+    and the vertex numbering are those of a test of every pair, so the edges
+    are too.
 
     The depth-first search runs on an explicit stack of candidate bitsets,
     lowest index first, so cliques come out in the order of an ascending
@@ -335,70 +503,14 @@ def _clique_stream(
         if (math.isqrt(t2) ** 2 != t2 or t2 > d * d) and (rest or top > d):
             return
 
-    edge_unit = 4 * d * d
-    x2 = 2 * d * d
-    base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
-    general = config.require_general_position
-
     # The reflection R in the perpendicular bisector of the base maps class
-    # (a, b, X, S) to (b, a, x2 - X, S): it swaps the base points and keeps
-    # y signs and distances, so two classes are joined exactly when their
-    # images are.  `seq` holds each class next to its image, then the
-    # classes that R fixes.  An entry is (X, S, k*S^2, the class's index);
-    # `image_of` gives the index of each class's image.
+    # (a, b, X, S) to (b, a, 2d^2 - X, S): it swaps the base points and
+    # keeps y signs and distances, so two classes are joined exactly when
+    # their images are.  `image_of` gives the index of each class's image.
     position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
     image_of = [position[b, a] for a, b, _, _ in classes]
-    pairs, fixed = [], []
-    for i, (_, _, x, y) in enumerate(classes):
-        j = image_of[i]
-        if i == j:
-            fixed.append((x, y, k * y * y, i))
-        elif i < j:
-            pairs += [(x, y, k * y * y, i), (x2 - x, y, k * y * y, j)]
-    seq = pairs + fixed
-
-    adj = [0] * nv
-
-    # One row per R orbit of classes: the first class of each pair and each
-    # fixed class.  A row tests the classes after it in `seq`, so each orbit
-    # of class pairs is tested once, and an edge also joins the images.
-    for ci in chain(range(0, len(pairs), 2), range(len(pairs), len(seq))):
-        x, y, ky, i = seq[ci]
-        later = seq[ci:]
-        # Squared scaled distances from this class to every class in
-        # `later`, with equal and with opposite signs of y (a class and
-        # itself with opposite signs: the mirror pair).  An edge of length
-        # t has n2 = (2d*t)^2, so only nonzero multiples of 4d^2 go on, and
-        # the exact root is taken of the quotient t^2.
-        two_ky = 2 * k * y
-        sums = [(x - xq) ** 2 + ky + kyq for xq, _, kyq, _ in later]
-        cross = [two_ky * yq for _, yq, _, _ in later]
-        base_tests = None
-        for flip, n2s in (
-            (0, [s - c for s, c in zip(sums, cross)]),
-            (1, [s + c for s, c in zip(sums, cross)]),
-        ):
-            for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0 and n2]:
-                t2 = n2s[j] // edge_unit
-                t = math.isqrt(t2)
-                if t * t != t2 or t > d:
-                    continue
-                xq, yq, _, iq = later[j]
-                if general:
-                    if base_tests is None:
-                        # q on one of these is collinear with a base point
-                        # and p, or concyclic with both base points and p
-                        p = (x * x + ky, x, y)
-                        base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
-                    yq = -yq if flip else yq
-                    if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
-                        continue
-                # the edge joins the vertices with the sign relation tested
-                # (flip 0: equal signs), in this class pair and in its image
-                for one, other in ((i, iq), (image_of[i], image_of[iq])):
-                    for vp, vq in ((2 * one, 2 * other + flip), (2 * one + 1, 2 * other + 1 - flip)):
-                        adj[vp] |= 1 << vq
-                        adj[vq] |= 1 << vp
+    general = config.require_general_position
+    adj = _adjacency(d, k, classes, image_of, general)
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
     # neighbours in it.
@@ -413,6 +525,9 @@ def _clique_stream(
     if not alive:
         return
 
+    edge_unit = 4 * d * d
+    x2 = 2 * d * d
+    base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     lifts = [(x * x + k * y * y, x, y) for _, _, x, s in classes for y in (-s, s)]
     # R on vertices; the mirror M in the base line is v ^ 1
     reflect = [2 * j + side for j in image_of for side in (0, 1)]

@@ -412,6 +412,20 @@ class TestDeterminism:
             assert rc == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    def test_search_composite_diameters_pinned(self, capsys):
+        # n = 5 at diameters with a square odd prime factor, 1125 = 3^2 * 5^3
+        # and 4225 = 5^2 * 13^2: keys with classes whose X and S share a
+        # power p^v of such a prime with 1 <= v < e
+        for argv, digest in (
+            (("--dmin", "1125", "--dmax", "1125"),
+             "5e2a66c3ab46d1a321ba5d664f60140396ba72e1f166af697e68ca9ad2817821"),
+            (("--dmin", "4225", "--dmax", "4225"),
+             "175c36290fe12febcd55399e2e9795906b8b563b2f91053d225ab2a30609fc0f"),
+        ):
+            rc, out, _ = run(capsys, "search", "--n", "5", "--char", "div:6469693230", *argv)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_search_n4_window_pinned(self, capsys, monkeypatch):
         # d = 64..101 holds every window of the benchmark's n = 4 workload;
         # only the least clique of each orbit under the two reflections of
@@ -516,6 +530,28 @@ class TestResumeAfterKill:
             rerun = subprocess.run(resume, stdout=fh, stderr=subprocess.DEVNULL, env=env, timeout=120)
         assert rerun.returncode == 0
         assert set(out.read_text().splitlines()) == set(full.stdout.splitlines())
+
+
+class TestSearchOutOfMemory:
+    def test_memory_error_exits_2_without_traceback(self):
+        # the unfiltered candidate index of d = 22270 needs gigabytes; the
+        # address space of the child alone is capped
+        script = (
+            "import resource, runpy, sys\n"
+            "limit = 256 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.argv = ['intpoints', 'search', '--n', '5', '--dmin', '22270', '--dmax', '22270']\n"
+            "runpy.run_module('intpoints', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: out of memory")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
 
 
 class TestModuleEntry:

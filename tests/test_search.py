@@ -5,11 +5,11 @@ import random
 from array import array
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from intpoints.arith import squarefree_part
+from intpoints.arith import factorize, squarefree_part
 from intpoints.cli import _record
 from intpoints.modplane import mod_max_general_position
 from intpoints.pointset import (
@@ -20,8 +20,10 @@ from intpoints.pointset import (
     verify,
 )
 from intpoints.search import (
+    _adjacency,
     _candidate_groups,
     _clique_stream,
+    _sign_groups,
     CharFilter,
     CheckpointError,
     SearchConfig,
@@ -30,7 +32,12 @@ from intpoints.search import (
     search,
 )
 
-from .oracles import brute_force_point_sets, naive_candidates, sympy_triangle_characteristic
+from .oracles import (
+    brute_force_point_sets,
+    cross_ratio_concyclic_or_collinear,
+    naive_candidates,
+    sympy_triangle_characteristic,
+)
 
 # the package exports the function `search`, which hides the module's name
 search_module = importlib.import_module("intpoints.search")
@@ -410,6 +417,101 @@ class TestOrbitLeaders:
         assert not cliques or len(leaders) < len(cliques)
 
 
+def key_classes(d, k):
+    """One bucket of ``_candidate_groups`` and the index of each class's
+    image under the bisector reflection."""
+    classes = _candidate_groups(d, CharFilter.fixed(k))[k]
+    position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
+    return classes, [position[b, a] for a, b, _, _ in classes]
+
+
+def multiplicity(n, p):
+    """The exponent of the prime p in n > 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class TestSignBlocks:
+    """At an odd prime p with p^e || d, a signed vertex with p^v || gcd(X, Y)
+    and v < e has X'/Y' = +-s mod p for one root s of -k, and two vertices
+    whose signs differ pass no 4d^2 screen.  The edge build tests only the
+    vertex pairs whose signs agree where both have one."""
+
+    @pytest.mark.parametrize(
+        "d, k, deep",
+        [
+            (1125, 11, True),  # 3^2 * 5^3
+            (1125, 14, True),
+            (4225, 14, True),  # 5^2 * 13^2
+            (4225, 1, True),
+            (1009, 105, False),  # a prime
+            (65, 1, False),  # k = 1: mirror partners can be adjacent
+        ],
+    )
+    def test_skipped_pairs_fail_the_screen(self, d, k, deep):
+        classes, image_of = key_classes(d, k)
+        sign = {}
+        for (care, bits), (lows, highs) in _sign_groups(d, k, classes, image_of):
+            assert len(highs) <= len(lows)
+            for low, high in zip(lows, highs):
+                assert image_of[low[3]] == high[3]
+            for entry in lows:
+                sign[entry[3]] = (care, bits)
+            for entry in highs:
+                sign[entry[3]] = (care, bits ^ care)
+            for x, y, ky, i in lows + highs:
+                assert (x, y, ky) == (classes[i][2], classes[i][3], k * classes[i][3] ** 2)
+        assert sorted(sign) == list(range(len(classes)))
+        # whether some class has 1 <= v < e at an odd prime p^e || d
+        odd = [(p, e) for p, e in factorize(d).items() if p > 2]
+        assert deep == any(
+            1 <= multiplicity(math.gcd(x, s), p) < e for _, _, x, s in classes for p, e in odd
+        )
+
+        skipped = 0
+        for c, q in combinations_with_replacement(range(len(classes)), 2):
+            (care_c, bits_c), (care_q, bits_q) = sign[c], sign[q]
+            common = care_c & care_q
+            for flip in (0, 1):
+                # the upper vertex of c and the upper (flip 0) or lower
+                # (flip 1) vertex of q, whose sign is the opposite
+                if (bits_c ^ bits_q) & common == (common if flip else 0):
+                    continue
+                skipped += 1
+                (_, _, x, y), (_, _, xq, yq) = classes[c], classes[q]
+                n2 = (x - xq) ** 2 + k * (y + yq if flip else y - yq) ** 2
+                assert n2 % (4 * d * d), (c, q, flip)
+        assert skipped
+
+    @pytest.mark.parametrize("d, k", [(45, 11), (75, 11), (75, 1), (65, 1)])
+    def test_edges_and_cliques_match_brute_force(self, d, k):
+        classes, image_of = key_classes(d, k)
+        verts = naive_vertices(d, k)
+        assert len(verts) == 2 * len(classes)
+        base = [(Fraction(0), Fraction(0)), (Fraction(d), Fraction(0))]
+        for general in (False, True):
+            adj = _adjacency(d, k, classes, image_of, general)
+            expected = [0] * len(verts)
+            for i, j in combinations(range(len(verts)), 2):
+                p, q = verts[i][2:4], verts[j][2:4]
+                sq = (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
+                t = math.isqrt(sq.numerator)
+                if sq.denominator != 1 or t * t != sq.numerator or t > d:
+                    continue
+                if general and (
+                    any((p[0] - b[0]) * (q[1] - b[1]) == (q[0] - b[0]) * (p[1] - b[1]) for b in base)
+                    or cross_ratio_concyclic_or_collinear(base + [p, q], k)
+                ):
+                    continue
+                expected[i] |= 1 << j
+                expected[j] |= 1 << i
+            assert adj == expected, general
+        assert_matches_brute_force(d, k)
+
+
 class TestSearch:
     def test_unit_triangle(self):
         out = list(search(SearchConfig(3, 1, 1)))
@@ -535,6 +637,11 @@ class TestMinimumDiameter:
     def test_filtered(self):
         assert minimum_diameter(4, 60, CharFilter.fixed(15)) == 22
         assert minimum_diameter(5, 100, CharFilter.divisor_of(6469693230)) == 73
+
+    def test_six_point_cluster(self):
+        # the catalog's least diameter of a 6-point set with integral
+        # coordinates; k = 1 is a square, so mirror partners can be adjacent
+        assert minimum_diameter(6, 1886, CharFilter.fixed(1)) == 1886
 
 
 @pytest.mark.slow
