@@ -170,6 +170,12 @@ def cmd_modsearch(args) -> int:
     except ValueError as exc:  # a modulus below 2 or a negative budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        result = None  # reported once the traceback has let go of the bitsets
+    if result is None:
+        m = args.modulus
+        print(f"error: out of memory searching Z_{m}^2 ({m}^4 adjacency bits)", file=sys.stderr)
+        return EXIT_USAGE
     bound = "=" if result.exact else ">="
     print(f"max_general_position(modulus={args.modulus}) {bound} {result.size}")
     if not result.exact:

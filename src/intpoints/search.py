@@ -31,13 +31,13 @@ base points and keeps distances and signs, so only one pair of each orbit
 under it is tested and an edge found there joins the reflected pair too,
 which halves the tests.  An edge of length t has squared scaled length
 (2d*t)^2, so a divisibility test by 4d^2 screens the pairs before the
-exact square root of the quotient t^2.  With general position required, an
-edge is dropped when its two points are collinear with a base point or
-concyclic with both, so the clique search tests only triples and
-quadruples of chosen points.  k-core pruning removes vertices with fewer
-than n - 3 live neighbours.  The depth-first search then runs on an
-explicit stack of candidate bitsets, one per depth, and takes candidates
-lowest index first; after each new vertex it keeps the candidates among
+exact square root of the quotient t^2.  An edge is dropped when its two
+points are collinear with a base point or concyclic with both, so the
+clique search tests only triples and quadruples of chosen points.  k-core
+pruning removes vertices with fewer than n - 3 live neighbours.  The
+depth-first search then runs on an explicit stack of candidate bitsets,
+one per depth, and takes candidates lowest index first; after each new
+vertex it keeps the candidates among
 its neighbours (a bitset intersection) that lie on no line through it and
 an earlier chosen point and on no circle through it and two earlier chosen
 or base points, and it drops a level once the chosen and remaining
@@ -65,14 +65,13 @@ once per d.  The prime 2 is left out.
 Most keys at n = 4 are decided before any of this.  Unless k is a square,
 the two vertices of one class lie an irrational 2S*sqrt(k)/(2d) apart, so a
 clique holds at most one of them.  A key of one class c and its bisector
-image c' then holds a 4-point set only through an edge from c to c', and
-there are two.  With opposite signs of y, (0, 0), p, (d, 0) and p' form a
-parallelogram whose diagonals are the base and the edge, so t^2 = 2a^2 +
-2b^2 - d^2.  With equal signs they form an isosceles trapezoid whose top
-side has length |a^2 - b^2| / d.  When neither is an integer of at most d,
-the key stops at once.  Both lengths are tested with general position on
-or off.  At n = 3 a single vertex is a set, so the rule applies at n = 4
-only.
+image c' then holds a 4-point set only through an edge from c to c'.
+With opposite signs of y, (0, 0), p, (d, 0) and p' form a parallelogram
+whose diagonals are the base and the edge, so t^2 = 2a^2 + 2b^2 - d^2,
+and the key stops at once unless t is an integer of at most d.  With
+equal signs they form an isosceles trapezoid, which is cyclic, so the
+base-circle test drops that edge.  At n = 3 a single vertex is a set, so
+the rule applies at n = 4 only.
 
 Each point set is canonicalized once per orbit of cliques, not once per
 clique (McKay, "Isomorph-free exhaustive generation", 1998).  The mirror M
@@ -190,7 +189,6 @@ class SearchConfig:
     d_min: int
     d_max: int
     char_filter: CharFilter = field(default_factory=CharFilter.any_char)
-    require_general_position: bool = True
     shard: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
@@ -361,13 +359,13 @@ def _sign_groups(
 
 
 def _adjacency(
-    d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int], general: bool
+    d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int]
 ) -> list[int]:
     """Neighbour bitsets of the signed vertices of ``classes``, vertex 2i
     below the base line and 2i + 1 above it, as ``_clique_stream`` numbers
     them: two vertices are joined when they lie an integral distance of at
-    most d apart and, with ``general``, on no line through a base point and
-    on no circle through both.
+    most d apart, on no line through a base point and on no circle through
+    both.
 
     Each low of ``_sign_groups`` is one row.  Two classes whose signs
     differ at a prime where both have one fail the 4d^2 screen with equal
@@ -418,18 +416,14 @@ def _adjacency(
                     if t * t != t2 or t > d:
                         continue
                     xq, yq, _, iq = targets[j]
-                    if general:
-                        if base_tests is None:
-                            # q on one of these is collinear with a base
-                            # point and p, or concyclic with both base
-                            # points and p
-                            p = (x * x + ky, x, y)
-                            base_tests = (
-                                _line(base1, p), _line(base2, p), _circle(base1, base2, p)
-                            )
-                        yq = -yq if flip else yq
-                        if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
-                            continue
+                    if base_tests is None:
+                        # q on one of these is collinear with a base point
+                        # and p, or concyclic with both base points and p
+                        p = (x * x + ky, x, y)
+                        base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
+                    yq = -yq if flip else yq
+                    if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
+                        continue
                     # the edge joins the vertices with the sign relation
                     # tested (flip 0: equal signs), in this class pair and
                     # in its image
@@ -446,9 +440,9 @@ def _clique_stream(
     d: int,
     k: int,
     classes: list[tuple[int, int, int, int]],
-    config: SearchConfig,
+    n: int,
 ) -> Iterator[DistanceMatrix]:
-    """Canonical point sets from cliques over the signed vertices of classes.
+    """Canonical n-point sets from cliques over the signed vertices of classes.
 
     ``classes`` is one bucket of ``_candidate_groups``: sorted entries
     (a, b, X, S) with X = 2d*x and S = 2d*|y_coeff| > 0, closed under the
@@ -470,10 +464,10 @@ def _clique_stream(
     lowest index first, so cliques come out in the order of an ascending
     index scan.  A key whose k-core is empty returns before the search is
     set up.  At n = 4 with k not a square, a key of one class pair returns
-    before any set-up when neither of its two possible edges, the
-    parallelogram diagonal and the trapezoid's top side, has integral
-    length at most d: a clique holds one vertex of each class, so it needs
-    one of these edges (module docstring).  Of each orbit of cliques under
+    before any set-up when the parallelogram diagonal does not have
+    integral length at most d: a clique holds one vertex of each class, and
+    the diagonal is the only edge between them that the base-circle test
+    keeps (module docstring).  Of each orbit of cliques under
     G = {id, M, R, MR}, with M the mirror v -> v ^ 1 and R the bisector
     reflection 2i + s -> 2j + s, only the least reaches ``canonical_form``:
     a leaf is skipped when M, R or MR maps it to a smaller sorted tuple,
@@ -485,7 +479,7 @@ def _clique_stream(
     leaves nothing for the cyclic collector.  The module docstring
     describes the stages.
     """
-    need = config.target_n - 2
+    need = n - 2
     nv = 2 * len(classes)
     square = math.isqrt(k) ** 2 == k
     # Mirror partners lie 2S*sqrt(k) apart, irrational unless k is a
@@ -494,13 +488,12 @@ def _clique_stream(
         return
     # So at n = 4 a key of one class c and its image c' needs an edge
     # c-c'.  With opposite signs of y, (0, 0), p, (d, 0), p' form a
-    # parallelogram with diagonals d and t; with equal signs, a trapezoid
-    # with top side t.
+    # parallelogram with diagonals d and t; with equal signs, a cyclic
+    # trapezoid, whose edge the base-circle test drops.
     if need == 2 and not square and len(classes) == 2 and classes[0][:2] == classes[1][1::-1]:
         a, b = classes[0][:2]
         t2 = 2 * a * a + 2 * b * b - d * d
-        top, rest = divmod(abs(a * a - b * b), d)
-        if (math.isqrt(t2) ** 2 != t2 or t2 > d * d) and (rest or top > d):
+        if math.isqrt(t2) ** 2 != t2 or t2 > d * d:
             return
 
     # The reflection R in the perpendicular bisector of the base maps class
@@ -509,8 +502,7 @@ def _clique_stream(
     # their images are.  `image_of` gives the index of each class's image.
     position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
     image_of = [position[b, a] for a, b, _, _ in classes]
-    general = config.require_general_position
-    adj = _adjacency(d, k, classes, image_of, general)
+    adj = _adjacency(d, k, classes, image_of)
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
     # neighbours in it.
@@ -563,7 +555,6 @@ def _clique_stream(
             if min(images) < chosen:
                 chosen.pop()
                 continue
-            n = config.target_n
             rows = [[0] * n for _ in range(n)]
             rows[0][1] = rows[1][0] = d
             for ci, vi in enumerate(chosen):
@@ -586,7 +577,7 @@ def _clique_stream(
         # chosen point and on no circle through v and two earlier chosen
         # or base points.
         cands = stack[-1] & adj[v]
-        if general and len(chosen) > 1:
+        if len(chosen) > 1:
             earlier = chosen[:-1]
             p = lifts[v]
             tests = [_line(lifts[c], p) for c in earlier]
@@ -629,8 +620,8 @@ def _open_checkpoint(path, config: SearchConfig) -> tuple[set[tuple[int, int]], 
     """
     # A key's records depend on these settings alone: the characteristic
     # filter and the shard only choose keys, so a resume may change them.
-    general = "on" if config.require_general_position else "off"
-    settings = f"n={config.target_n} general_position={general}"
+    # General position is always on; saying so refuses files headed "off".
+    settings = f"n={config.target_n} general_position=on"
     header = f"{_CHECKPOINT_HEADER}{settings}\n".encode()
     with ExitStack() as stack:
         try:
@@ -692,7 +683,7 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
     completed keys are appended to that file and previously completed keys
     are skipped (their results are assumed already consumed); a checkpoint
     that cannot be opened or parsed, or that was written with another size
-    or general-position setting, raises ``CheckpointError`` first.
+    or without general position, raises ``CheckpointError`` first.
     """
     shard_index, shard_total = config.shard
     done, log = _open_checkpoint(checkpoint, config) if checkpoint else (set(), None)
@@ -707,7 +698,7 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
                     continue
                 if (d, k) in done:
                     continue
-                yield from _clique_stream(d, k, groups[k], config)
+                yield from _clique_stream(d, k, groups[k], config.target_n)
                 if log is not None:
                     log.write(b"%d %d\n" % (d, k))
                     log.flush()

@@ -10,9 +10,13 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import isqrt
 
-from sympy import factorint
+from sympy import factorint, isprime
 
 from intpoints.pointset import DistanceMatrix
+
+
+def sympy_is_prime(n: int) -> bool:
+    return isprime(n)
 
 
 def sympy_squarefree_part(n: int) -> int:

@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 
 from intpoints.arith import factorize, is_probable_prime, squarefree_part
 
+from .oracles import sympy_is_prime, sympy_squarefree_part
+
+# the least strong pseudoprimes to the prime bases up to 37 and up to 41
+# (Sorenson and Webster), and the two prime factors of the first
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+PSI_12_FACTORS = (399165290221, 798330580441)
+
 
 class TestSquarefreePart:
     def test_one(self):
@@ -38,6 +46,11 @@ class TestSquarefreePart:
         assert squarefree_part(p * q) == p * q
         assert squarefree_part(p * p * q) == q
 
+    def test_strong_pseudoprime_cofactor(self):
+        p, q = PSI_12_FACTORS
+        assert p * q == PSI_12
+        assert squarefree_part(p * p * q) == sympy_squarefree_part(p * p * q) == q
+
     def test_square_invariance_randomized(self):
         rng = random.Random(20270)
         for _ in range(10_000):
@@ -68,6 +81,12 @@ class TestSquarefreePart:
             x, y = rng.randint(1, 10**5), rng.randint(1, 10**5)
             p, q = squarefree_part(x), squarefree_part(y)
             assert squarefree_part(x * y) == p * q // math.gcd(p, q) ** 2
+
+
+class TestIsProbablePrime:
+    @pytest.mark.parametrize("n", [PSI_12, PSI_13, *PSI_12_FACTORS, 41, 43, 41 * 43])
+    def test_matches_sympy(self, n):
+        assert is_probable_prime(n) == sympy_is_prime(n)
 
 
 class TestFactorize:

@@ -19,7 +19,6 @@ from intpoints.pointset import (
     distances_from_embedding,
     pointset_characteristic,
 )
-from intpoints.search import SearchConfig, search
 
 from .oracles import brute_force_mod_max
 
@@ -182,6 +181,15 @@ class TestSearchCommand:
         assert rc == 2
         assert "square-free" in err
 
+    def test_strong_pseudoprime_square_exits_2(self, capsys):
+        # 318665857834031151167461 = 399165290221 * 798330580441 is the least
+        # strong pseudoprime to the prime bases up to 37
+        bound = 399165290221**2 * 798330580441
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "5", "--char", f"div:{bound}")
+        assert rc == 2
+        assert out == ""
+        assert "not square-free" in err
+
     def test_bad_shard_exits_2(self, capsys):
         rc, _, err = run(capsys, "search", "--n", "4", "--dmax", "10", "--shard", "nope")
         assert rc == 2
@@ -256,6 +264,18 @@ class TestSearchCommand:
         assert "n=4 general_position=on" in err
         assert "n=3 general_position=on" in err
         assert ck.read_text() == before
+
+    def test_resume_general_position_off_exits_2(self, capsys, tmp_path):
+        # the header a search that did not require general position wrote
+        ck = tmp_path / "ck"
+        ck.write_text("# intpoints checkpoint n=4 general_position=off\n5 1\n")
+        before = ck.read_bytes()
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(ck))
+        assert rc == 2
+        assert not out
+        assert "n=4 general_position=off" in err
+        assert "n=4 general_position=on" in err
+        assert ck.read_bytes() == before
 
     def test_resume_without_header_exits_2(self, capsys, tmp_path):
         ck = tmp_path / "ck"
@@ -401,6 +421,9 @@ class TestDeterminism:
         for argv, digest in (
             (("--n", "4", "--dmax", "40"),
              "7b2599270f10c786b8cee1530f68d1c08a4d18af19c77dad282a28172148e0c1"),
+            # with test_search_n4_window_pinned, every n = 4 key up to d = 101
+            (("--n", "4", "--dmin", "41", "--dmax", "63"),
+             "2611bab4edf90e4ab31c7be489582f236495b71d0c4160fcee898e4e39a616ba"),
             (("--n", "7", "--char", "2002", "--dmin", "22270", "--dmax", "22270"),
              "9612f2882350e8207ea9fb6d498e8ef1ab1fe6c9b605b8b00c7932d14a1e3bb5"),
             # n = 6 takes the DFS through its line and circle tests, the
@@ -451,20 +474,6 @@ class TestDeterminism:
         assert rc == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "d2dca5f4a51cf16dbadf037eb9c7b78ae56bf256768fff971b12796b33d4d5ad"
-
-    def test_search_rows_pinned_general_position_off(self):
-        # the CLI always requires general position; with it off the DFS
-        # keeps every candidate among the neighbours of a chosen vertex; at
-        # n = 4 a key of one class pair holds a set through either of its
-        # two edges, the parallelogram diagonal or the trapezoid's top side
-        for n, count, pinned in (
-            (6, 1118, "b7e62636337da24c1eb92ef9b34d6c582c534618b499444c4470b6f3fd6cdc23"),
-            (4, 6867, "f1b45fcabef097b8ce9f390ff30154bbb49d05716821532ebdce4b64fff44c45"),
-        ):
-            rows = [m.rows for m in search(SearchConfig(n, 1, 60, require_general_position=False))]
-            assert len(rows) == count, n
-            digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-            assert digest == pinned, n
 
     def test_verify_output_stable(self, capsys, heptagon1_file):
         _, first, _ = run(capsys, "verify", str(heptagon1_file))
@@ -532,26 +541,37 @@ class TestResumeAfterKill:
         assert set(out.read_text().splitlines()) == set(full.stdout.splitlines())
 
 
+def assert_out_of_memory_exit(*argv):
+    """Run the command in a child whose own address space is capped at
+    256 MB, and check that it exits 2 with one line and no traceback."""
+    script = (
+        "import resource, runpy, sys\n"
+        "limit = 256 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        f"sys.argv = ['intpoints', *{argv!r}]\n"
+        "runpy.run_module('intpoints', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 class TestSearchOutOfMemory:
     def test_memory_error_exits_2_without_traceback(self):
-        # the unfiltered candidate index of d = 22270 needs gigabytes; the
-        # address space of the child alone is capped
-        script = (
-            "import resource, runpy, sys\n"
-            "limit = 256 << 20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "sys.argv = ['intpoints', 'search', '--n', '5', '--dmin', '22270', '--dmax', '22270']\n"
-            "runpy.run_module('intpoints', run_name='__main__')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=child_env(), timeout=120,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: out of memory")
-        assert proc.stderr.count("\n") == 1
-        assert proc.stdout == ""
+        # the unfiltered candidate index of d = 22270 needs gigabytes
+        assert_out_of_memory_exit("search", "--n", "5", "--dmin", "22270", "--dmax", "22270")
+
+
+class TestModsearchOutOfMemory:
+    def test_memory_error_exits_2_without_traceback(self):
+        # the adjacency bitsets of Z_5000^2 take 5000^4 bits
+        assert_out_of_memory_exit("modsearch", "--modulus", "5000")
 
 
 class TestModuleEntry:

@@ -220,25 +220,14 @@ class TestIntegralPairCheck:
         # triangle; its mirror chord has squared length k*(2q)^2 = 27
         [(_, _, x, s)] = _candidate_groups(3, CharFilter.fixed(3))[3]
         assert scaled_square(3, (x, s), (x, -s)) == 36 * 27
-        relaxed = SearchConfig(4, 3, 3, CharFilter.fixed(3), require_general_position=False)
-        assert list(search(relaxed)) == []
-
-
-def set_characteristics(m):
-    """The characteristics of the non-degenerate triangles of a set (with
-    general position off, some triangles of a set may be degenerate)."""
-    triangles = [
-        (m.rows[i][j], m.rows[i][l], m.rows[j][l]) for i, j, l in combinations(range(m.n), 3)
-    ]
-    return {sympy_triangle_characteristic(*t) for t in triangles} - {0}
+        assert _adjacency(3, 3, [(3, 3, x, s)], [0]) == [0, 0]
 
 
 class TestExtendCliques:
     """The clique stage on one bucket of the candidate index."""
 
     def test_triangles_from_single_candidates(self):
-        cfg = SearchConfig(3, 4, 4, CharFilter.fixed(15))
-        out = list(_clique_stream(4, 15, _candidate_groups(4, CharFilter.fixed(15))[15], cfg))
+        out = list(_clique_stream(4, 15, _candidate_groups(4, CharFilter.fixed(15))[15], 3))
         assert out
         assert all(m.n == 3 for m in out)
         assert all(pointset_characteristic(m) == 15 for m in out)
@@ -246,33 +235,30 @@ class TestExtendCliques:
 
     def test_heptagon_rediscovered(self, heptagon1):
         bucket = _candidate_groups(22270, CharFilter.fixed(2002))[2002]
-        cfg = SearchConfig(7, 22270, 22270, CharFilter.fixed(2002))
-        assert list(_clique_stream(22270, 2002, bucket, cfg)) == [heptagon1]
+        assert list(_clique_stream(22270, 2002, bucket, 7)) == [heptagon1]
 
     def test_shuffled_candidates_same_results(self):
         # the class order fixes only the order of the output; shuffled, the
         # row class of a reflection pair may be either of its two classes
         bucket = _candidate_groups(65, CharFilter.fixed(1))[1]
-        cfg = SearchConfig(5, 65, 65, CharFilter.fixed(1), require_general_position=False)
-        baseline = {m.rows for m in _clique_stream(65, 1, bucket, cfg)}
-        assert len(baseline) == 26
+        baseline = {m.rows for m in _clique_stream(65, 1, bucket, 4)}
+        assert len(baseline) == 6
         for seed in range(4):
             shuffled = list(bucket)
             random.Random(seed).shuffle(shuffled)
-            assert {m.rows for m in _clique_stream(65, 1, shuffled, cfg)} == baseline
+            assert {m.rows for m in _clique_stream(65, 1, shuffled, 4)} == baseline
 
     @pytest.mark.parametrize("d, k", [(17, 35), (24, 1), (27, 35), (32, 15)])
-    @pytest.mark.parametrize("general", [True, False])
-    def test_same_results_and_order_as_search(self, d, k, general):
+    def test_same_results_and_order_as_search(self, d, k):
         # the bucket of the unfiltered index gives what the filtered search
         # emits, and the unfiltered search emits it in the same order
-        cfg = SearchConfig(4, d, d, CharFilter.fixed(k), require_general_position=general)
+        cfg = SearchConfig(4, d, d, CharFilter.fixed(k))
         expected = list(search(cfg))
         assert len(expected) >= 2
         bucket = _candidate_groups(d, CharFilter.any_char())[k]
-        assert list(_clique_stream(d, k, bucket, cfg)) == expected
+        assert list(_clique_stream(d, k, bucket, 4)) == expected
         unfiltered = search(replace(cfg, char_filter=CharFilter.any_char()))
-        assert [m for m in unfiltered if set_characteristics(m) == {k}] == expected
+        assert [m for m in unfiltered if pointset_characteristic(m) == k] == expected
 
 
 def naive_vertices(d, k):
@@ -318,17 +304,15 @@ def brute_force_vertex_cliques(d, k, n):
 
 
 def assert_matches_brute_force(d, k):
-    emitted = 0
+    # the key has cliques, though at d = 16, k = 15 none in general position
+    cliques = 0
     for n in (4, 5):
         brute = brute_force_cliques(d, k, n)
-        for general in (True, False):
-            cfg = SearchConfig(n, d, d, CharFilter.fixed(k), require_general_position=general)
-            out = [m.rows for m in search(cfg)]
-            assert len(out) == len(set(out))
-            expected = {rows for rows, passed in brute.items() if passed or not general}
-            assert set(out) == expected, (d, k, n, general)
-            emitted += len(out)
-    assert emitted
+        out = [m.rows for m in search(SearchConfig(n, d, d, CharFilter.fixed(k)))]
+        assert len(out) == len(set(out))
+        assert set(out) == {rows for rows, passed in brute.items() if passed}, (d, k, n)
+        cliques += len(brute)
+    assert cliques
 
 
 class TestReflectedEdgeBuild:
@@ -343,20 +327,26 @@ class TestReflectedEdgeBuild:
     def test_square_k_mirror_partners_adjacent(self):
         # at d = 48 and k = 1 the two mirror partners of each of the classes
         # (25, 25), (26, 26), (30, 30), (29, 35) and (35, 29) are an
-        # integral distance 2|y| <= d apart: an edge within one class
+        # integral distance 2|y| <= d apart: an edge within one class.  No
+        # class has a^2 + b^2 = d^2, so each kite of the base and a mirror
+        # pair is in general position.
         d = 48
         assert_matches_brute_force(d, 1)
-        relaxed = SearchConfig(4, d, d, CharFilter.fixed(1), require_general_position=False)
-        found = list(search(relaxed))
+        classes, image_of = key_classes(d, 1)
+        adj = _adjacency(d, 1, classes, image_of)
+        found = list(search(SearchConfig(4, d, d, CharFilter.fixed(1))))
         adjacent = set()
-        for a, b, _, q, k in naive_candidates(d):
-            chord = 2 * q
-            if k == 1 and q > 0 and chord.denominator == 1 and chord <= d:
+        for i, (a, b, _, s) in enumerate(classes):
+            assert a * a + b * b != d * d
+            chord = Fraction(s, d)  # 2|y|, with |y| = S/(2d)
+            integral = chord.denominator == 1 and chord <= d
+            assert (adj[2 * i] >> (2 * i + 1) & 1) == integral, (a, b)
+            if integral:
                 t = int(chord)
                 rows = ((0, d, a, a), (d, 0, b, b), (a, b, 0, t), (a, b, t, 0))
                 assert canonical_form(DistanceMatrix(rows))[0] in found
                 adjacent.add((a, b))
-        assert {(25, 25), (26, 26), (30, 30), (29, 35), (35, 29)} <= adjacent
+        assert adjacent == {(25, 25), (26, 26), (30, 30), (29, 35), (35, 29)}
 
 
 def vertex_set(rows, verts, k):
@@ -385,14 +375,11 @@ class TestOrbitLeaders:
 
     @pytest.mark.parametrize("d, k", [(100, 1), (65, 1), (48, 1), (16, 15)])
     @pytest.mark.parametrize("n", [4, 5])
-    @pytest.mark.parametrize("general", [True, False])
-    def test_matches_brute_force(self, monkeypatch, d, k, n, general):
+    def test_matches_brute_force(self, monkeypatch, d, k, n):
         verts = naive_vertices(d, k)
         position = {(c[0], c[1]): i for i, c in enumerate(verts[::2])}
         cliques = [
-            (chosen, rows)
-            for chosen, rows, passed in brute_force_vertex_cliques(d, k, n)
-            if passed or not general
+            (chosen, rows) for chosen, rows, passed in brute_force_vertex_cliques(d, k, n) if passed
         ]
 
         def is_leader(chosen):
@@ -410,8 +397,7 @@ class TestOrbitLeaders:
             return original(m)
 
         monkeypatch.setattr(search_module, "canonical_form", recording)
-        cfg = SearchConfig(n, d, d, CharFilter.fixed(k), require_general_position=general)
-        out = [m.rows for m in search(cfg)]
+        out = [m.rows for m in search(SearchConfig(n, d, d, CharFilter.fixed(k)))]
         assert reached == leaders
         assert out == list(dict.fromkeys(rows for _, rows in cliques))
         assert not cliques or len(leaders) < len(cliques)
@@ -492,23 +478,20 @@ class TestSignBlocks:
         verts = naive_vertices(d, k)
         assert len(verts) == 2 * len(classes)
         base = [(Fraction(0), Fraction(0)), (Fraction(d), Fraction(0))]
-        for general in (False, True):
-            adj = _adjacency(d, k, classes, image_of, general)
-            expected = [0] * len(verts)
-            for i, j in combinations(range(len(verts)), 2):
-                p, q = verts[i][2:4], verts[j][2:4]
-                sq = (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
-                t = math.isqrt(sq.numerator)
-                if sq.denominator != 1 or t * t != sq.numerator or t > d:
-                    continue
-                if general and (
-                    any((p[0] - b[0]) * (q[1] - b[1]) == (q[0] - b[0]) * (p[1] - b[1]) for b in base)
-                    or cross_ratio_concyclic_or_collinear(base + [p, q], k)
-                ):
-                    continue
-                expected[i] |= 1 << j
-                expected[j] |= 1 << i
-            assert adj == expected, general
+        expected = [0] * len(verts)
+        for i, j in combinations(range(len(verts)), 2):
+            p, q = verts[i][2:4], verts[j][2:4]
+            sq = (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
+            t = math.isqrt(sq.numerator)
+            if sq.denominator != 1 or t * t != sq.numerator or t > d:
+                continue
+            if any(
+                (p[0] - b[0]) * (q[1] - b[1]) == (q[0] - b[0]) * (p[1] - b[1]) for b in base
+            ) or cross_ratio_concyclic_or_collinear(base + [p, q], k):
+                continue
+            expected[i] |= 1 << j
+            expected[j] |= 1 << i
+        assert _adjacency(d, k, classes, image_of) == expected
         assert_matches_brute_force(d, k)
 
 
@@ -580,11 +563,13 @@ class TestSearch:
         assert {m.rows for m in search(cfg)} == {m.rows for m in first}
 
     def test_checkpoint_bound_to_general_position(self, tmp_path):
+        # the header a search that did not require general position wrote;
+        # its key (5, 1) holds the 3-4-5 rectangle, no general-position set
         ck = tmp_path / "ck.txt"
-        relaxed = SearchConfig(4, 5, 5, require_general_position=False)
-        assert list(search(relaxed, checkpoint=str(ck)))
+        ck.write_text("# intpoints checkpoint n=4 general_position=off\n5 1\n")
         with pytest.raises(CheckpointError, match="general_position=off.*general_position=on"):
             list(search(SearchConfig(4, 5, 5), checkpoint=str(ck)))
+        assert ck.read_text() == "# intpoints checkpoint n=4 general_position=off\n5 1\n"
 
     def test_checkpoint_torn_header_written_again(self, tmp_path):
         ck = tmp_path / "ck.txt"
@@ -608,19 +593,28 @@ class TestSearch:
         assert len(ck.read_text().splitlines()) > 2
 
     def test_rectangle_needs_general_position_off(self):
-        # the 3-4-5 rectangle: four concyclic points with integral distances
-        rectangle = ((0, 5, 4, 3), (5, 0, 3, 4), (4, 3, 0, 5), (3, 4, 5, 0))
-        relaxed = SearchConfig(4, 5, 5, require_general_position=False)
-        assert [m.rows for m in search(relaxed)] == [rectangle]
+        # the 3-4-5 rectangle: four concyclic points with integral distances,
+        # the upper vertex of class (3, 4) and the lower one of (4, 3) at
+        # distance 5; the base-circle test drops that edge, the only one
+        classes, image_of = key_classes(5, 1)
+        assert [c[:2] for c in classes] == [(3, 4), (4, 3)]
+        (_, _, x, s), (_, _, xq, sq) = classes
+        assert scaled_square(1, (x, s), (xq, -sq)) == (2 * 5 * 5) ** 2
+        assert _adjacency(5, 1, classes, image_of) == [0, 0, 0, 0]
         assert list(search(SearchConfig(4, 5, 5))) == []
 
     def test_trapezoid_of_two_mirror_pairs_rejected(self):
         # two mirror pairs span an isosceles trapezoid: four concyclic points,
-        # none of them a base point, which only the clique search can test
-        trapezoid = (0, 528, 424, 424, 289, 289)
-        relaxed = SearchConfig(6, 528, 528, CharFilter.fixed(1), require_general_position=False)
-        assert trapezoid in [m.rows[0] for m in search(relaxed)]
-        assert list(search(SearchConfig(6, 528, 528, CharFilter.fixed(1)))) == []
+        # none of them a base point, which only the clique search can test;
+        # the edge build joins all four
+        d = 528
+        classes, image_of = key_classes(d, 1)
+        adj = _adjacency(d, 1, classes, image_of)
+        position = {c[:2]: i for i, c in enumerate(classes)}
+        trapezoid = [2 * position[ab] + side for ab in ((424, 280), (289, 305)) for side in (0, 1)]
+        for v, w in combinations(trapezoid, 2):
+            assert adj[v] >> w & 1, (v, w)
+        assert list(search(SearchConfig(6, d, d, CharFilter.fixed(1)))) == []
 
 
 class TestMinimumDiameter:
