@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -165,19 +166,32 @@ def cmd_search(args) -> int:
 
 
 def cmd_modsearch(args) -> int:
+    m = args.modulus
+    # the adjacency holds m^2 bitsets of m^2 bits: refuse before allocating
+    # when that alone exceeds physical memory
     try:
-        result = mod_max_general_position(args.modulus, node_budget=args.budget)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the system does not say
+        memory = None
+    if m >= 2 and memory is not None and m**4 // 8 > memory:
+        print(
+            f"error: out of memory: the adjacency of Z_{m}^2 takes {m}^4 bits "
+            f"({m**4 // 8 >> 30:,} GiB), more than the {memory >> 30:,} GiB of physical memory",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    try:
+        result = mod_max_general_position(m, node_budget=args.budget)
     except ValueError as exc:  # a modulus below 2 or a negative budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         result = None  # reported once the traceback has let go of the bitsets
     if result is None:
-        m = args.modulus
         print(f"error: out of memory searching Z_{m}^2 ({m}^4 adjacency bits)", file=sys.stderr)
         return EXIT_USAGE
     bound = "=" if result.exact else ">="
-    print(f"max_general_position(modulus={args.modulus}) {bound} {result.size}")
+    print(f"max_general_position(modulus={m}) {bound} {result.size}")
     if not result.exact:
         print("# node budget exhausted: value is a lower bound only", file=sys.stderr)
     for u, v in result.witness:

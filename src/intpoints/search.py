@@ -50,17 +50,24 @@ X/p^v and Y' = Y/p^v.  If v < e, then X'^2 + kY'^2 = 0 mod p^2, which
 rules out p | k, and so X'/Y' = +-s mod p for a root s of -k: the vertex
 has a sign at p.  Two vertices with signs at p pass the screen only when
 X'Xq' + kY'Yq' = 0 mod p, that is when their signs agree.  A vertex with
-v >= e is a wildcard at p, and every vertex is one when p divides k or -k
-is not a square mod p, so no root and no Legendre symbol is needed: "same
-sign" is X'*Y1' = X1'*Y' mod p against the first class with a sign at p.
-The mirror in the base line and the bisector reflection both flip every
-sign.  So each class and its bisector image are oriented to agree with
+e <= v < 2e is wild at p: with a vertex q that has vq = 0 it passes the
+screen only when X'Xq + kY'Yq = 0 mod p^(2e - v), so only when X'/Y' is
+Xq/Yq mod p, which is q's sign.  Its X'/Y' is either sign or neither, and
+when it is neither the vertex passes with no vq = 0 vertex at all.  Wild
+vertices are constrained against vq = 0 vertices only, which is sound,
+and is the exact rule v + vq < 2e when e = 1.  A vertex with v >= 2e is a
+wildcard at p, and so is every vertex when p divides k or -k is not a
+square mod p, as no vertex then has a sign.  No root and no Legendre
+symbol is needed: "same sign" is X'*Y1' = X1'*Y' mod p against the first
+class with a sign at p.  The mirror in the base line and the bisector
+reflection both flip every sign, wild ones included, as 2d^2 = 0 mod
+p^(2e).  So each class and its bisector image are oriented to agree with
 that first class at their lowest prime with a sign, and these pairs are
 grouped by sign pattern.  A row tests, with equal signs of y, the blocks
-whose pattern agrees with its own where both have signs, and with
-opposite signs of y those whose pattern is opposite there; the reflection
-still halves the tests within each block.  The primes of d are factored
-once per d.  The prime 2 is left out.
+whose pattern agrees with its own where the two are constrained, and
+with opposite signs of y those whose pattern is opposite there; the
+reflection still halves the tests within each block.  The primes of d
+are factored once per d.  The prime 2 is left out.
 
 Most keys at n = 4 are decided before any of this.  Unless k is a square,
 the two vertices of one class lie an irrational 2S*sqrt(k)/(2d) apart, so a
@@ -301,60 +308,83 @@ def _candidate_groups(
 
 
 @lru_cache(maxsize=1)
-def _odd_prime_powers(d: int) -> tuple[tuple[int, int], ...]:
-    """(p, p^e) for each odd prime p with p^e || d, in increasing order.
+def _odd_prime_powers(d: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, p^e, p^2e) for each odd prime p with p^e || d, in increasing order.
 
     Cached for one d: a search takes the keys of each d in a row.
     """
-    return tuple((p, p**e) for p, e in sorted(factorize(d).items()) if p > 2)
+    return tuple((p, p**e, p ** (2 * e)) for p, e in sorted(factorize(d).items()) if p > 2)
 
 
 def _sign_groups(
     d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int]
-) -> list[tuple[tuple[int, int], tuple[list, list]]]:
+) -> list[tuple[tuple[int, int, int, int, int], tuple[list, list]]]:
     """The reflection pairs of ``classes`` grouped by their signs at the odd
-    primes of d, as ((care, bits), (lows, highs)) in order of first use.
+    primes of d, as ((care, zero, wild, none, bits), (lows, highs)) in order
+    of first use.
 
-    At a prime p with p^e || d, a class has a sign when p^e does not divide
-    both X and S: X/S, with the common power of p taken out, is then
-    congruent mod p to that of the first class with a sign there, the
-    reference, or to its negative.  ``care`` has a bit for each prime where
-    the class has a sign, ``bits`` one for each of those where its upper
-    vertex (Y = S) has the sign opposite to the reference's.  The bisector
-    reflection flips every sign, so each pair is oriented to agree with the
-    reference at its lowest prime in ``care``: that class goes to ``lows``
-    and its image to ``highs``, at the same place.  The classes that the
-    reflection fixes have no sign and follow the pairs in the lows of group
-    (0, 0).  An entry is (X, S, k*S^2, the class's index).
+    At a prime p with p^e || d, let p^v be the power of p that divides both
+    X and S, and X'/S' the ratio with it taken out.  A class with v < e has
+    a sign: X'/S' is congruent mod p to that of the first such class, the
+    reference, or to its negative.  A class with e <= v < 2e is wild: its
+    X'/S' is the reference's, its negative, or neither.  ``care`` has a bit
+    for each prime where the class has a sign and ``zero`` one for each of
+    those where v = 0; ``wild`` has a bit for each prime where the class is
+    wild with a sign and ``none`` one for each where it is wild with
+    neither.  ``bits`` has one for each prime of ``care`` or ``wild`` where
+    the upper vertex (Y = S) has the sign opposite to the reference's.  A
+    prime where no class has a sign gives no bits.  The bisector reflection
+    flips every sign, so each pair is oriented to agree with the reference
+    at its lowest prime in ``care`` or ``wild``: that class goes to
+    ``lows`` and its image to ``highs``, at the same place.  The classes
+    that the reflection fixes have no sign and follow the pairs in the lows
+    of group (0, 0, 0, 0, 0).  An entry is (X, S, k*S^2, the class's
+    index).
     """
     x2 = 2 * d * d
-    primes = _odd_prime_powers(d)
-    refs: list[Optional[tuple[int, int]]] = [None] * len(primes)
-    groups: dict[tuple[int, int], tuple[list, list]] = {}
+    # each prime where some class has a sign, with that first class's X'/S'
+    primes = []
+    for p, pe, pe2 in _odd_prime_powers(d):
+        for _, _, x, y in classes:
+            g = math.gcd(x, y, pe)
+            if g != pe:
+                primes.append((p, pe, pe2, x // g, y // g))
+                break
+    groups: dict[tuple[int, int, int, int, int], tuple[list, list]] = {}
     fixed = []
     for i, (_, _, x, y) in enumerate(classes):
         j = image_of[i]
         if i == j:
             fixed.append((x, y, k * y * y, i))
         elif i < j:
-            care = bits = 0
-            for bit, (p, pe) in enumerate(primes):
+            care = zero = wild = none = bits = 0
+            for bit, (p, pe, pe2, rx, ry) in enumerate(primes):
                 g = math.gcd(x, y, pe)
                 if g != pe:
                     care |= 1 << bit
-                    ref = refs[bit]
-                    if ref is None:
-                        refs[bit] = (x // g, y // g)
-                    elif (x // g * ref[1] - ref[0] * (y // g)) % p:
+                    if g == 1:
+                        zero |= 1 << bit
+                    if (x // g * ry - rx * (y // g)) % p:
                         bits |= 1 << bit
+                elif (g := math.gcd(x, y, pe2)) != pe2:
+                    # X'*S1' against X1'*S': equal, opposite or neither
+                    left, right = x // g * ry, rx * (y // g)
+                    if (left - right) % p == 0:
+                        wild |= 1 << bit
+                    elif (left + right) % p == 0:
+                        wild |= 1 << bit
+                        bits |= 1 << bit
+                    else:
+                        none |= 1 << bit
             low, high = (x, y, k * y * y, i), (x2 - x, y, k * y * y, j)
-            if bits & care & -care:
-                low, high, bits = high, low, bits ^ care
-            lows, highs = groups.setdefault((care, bits), ([], []))
+            signed = care | wild
+            if bits & signed & -signed:
+                low, high, bits = high, low, bits ^ signed
+            lows, highs = groups.setdefault((care, zero, wild, none, bits), ([], []))
             lows.append(low)
             highs.append(high)
     if fixed:
-        groups.setdefault((0, 0), ([], []))[0].extend(fixed)
+        groups.setdefault((0, 0, 0, 0, 0), ([], []))[0].extend(fixed)
     return list(groups.items())
 
 
@@ -367,27 +397,35 @@ def _adjacency(
     most d apart, on no line through a base point and on no circle through
     both.
 
-    Each low of ``_sign_groups`` is one row.  Two classes whose signs
-    differ at a prime where both have one fail the 4d^2 screen with equal
-    signs of y, and two whose signs agree there fail it with opposite signs
-    (module docstring).  So a row tests, with equal signs, the lows of each
-    later group whose bits agree with its own on the primes both groups
-    care about and the highs of each one whose bits are opposite there, and
-    with opposite signs the other way round; a group with no common prime
-    is tested both ways.  The r-th low of a group tests the lows and highs
-    of its own group from the r-th on, so each orbit of class pairs under
-    the reflection is tested once, and an edge found also joins the images.
+    Each low of ``_sign_groups`` is one row.  A prime constrains two
+    classes when both have a sign there (``care``), or when one is wild
+    with a sign and the other has v = 0 (``wild`` against ``zero``).  Two
+    classes whose signs differ at a prime that constrains them fail the
+    4d^2 screen with equal signs of y, and two whose signs agree there fail
+    it with opposite signs; a class wild with neither sign fails it both
+    ways with every class of v = 0 there (module docstring).  So a row
+    tests, with equal signs, the lows of each later group whose bits agree
+    with its own on the primes that constrain the two groups and the highs
+    of each one whose bits are opposite there, and with opposite signs the
+    other way round; a group that no prime constrains with it is tested
+    both ways, and one blocked by ``none`` not at all.  Within a group only
+    the primes of ``care`` constrain.  The r-th low of a group tests the
+    lows and highs of its own group from the r-th on, so each orbit of
+    class pairs under the reflection is tested once, and an edge found also
+    joins the images.
     """
     edge_unit = 4 * d * d
     x2 = 2 * d * d
     base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     adj = [0] * (2 * len(classes))
     blocks = _sign_groups(d, k, classes, image_of)
-    for gi, ((care, bits), (lows, highs)) in enumerate(blocks):
+    for gi, ((care, zero, wild, none, bits), (lows, highs)) in enumerate(blocks):
         same: list = []
         opposite: list = []
-        for (care2, bits2), (lows2, highs2) in blocks[gi + 1 :]:
-            common = care & care2
+        for (care2, zero2, wild2, none2, bits2), (lows2, highs2) in blocks[gi + 1 :]:
+            if none & zero2 or zero & none2:
+                continue
+            common = care & care2 | wild & zero2 | zero & wild2
             differ = (bits ^ bits2) & common
             if not differ:
                 same += lows2
@@ -453,10 +491,10 @@ def _clique_stream(
     longer pair belongs to a different base.
 
     The edges come from ``_adjacency``.  It groups the reflection pairs of
-    classes by their signs at the odd primes of d (``_sign_groups``) and
-    tests a pair of classes with equal signs of y only where their signs
-    agree and with opposite signs only where they are opposite: the other
-    pairs fail the 4d^2 screen.  The screen, the exact root, the base tests
+    classes by their signs at the odd primes of d, wild vertices' included
+    (``_sign_groups``), and tests a pair of classes with equal signs of y
+    only where their signs agree and with opposite signs only where they
+    are opposite: the other pairs fail the 4d^2 screen.  The screen, the exact root, the base tests
     and the vertex numbering are those of a test of every pair, so the edges
     are too.
 

@@ -426,6 +426,9 @@ class TestDeterminism:
              "2611bab4edf90e4ab31c7be489582f236495b71d0c4160fcee898e4e39a616ba"),
             (("--n", "7", "--char", "2002", "--dmin", "22270", "--dmax", "22270"),
              "9612f2882350e8207ea9fb6d498e8ef1ab1fe6c9b605b8b00c7932d14a1e3bb5"),
+            # the second heptagon's key, which also holds the first scaled by 3
+            (("--n", "7", "--char", "2002", "--dmin", "66810", "--dmax", "66810"),
+             "18c2d20cf3e48ded6e3c78954a669a8cc080abce4407d4e375dbd1cac889dbf2"),
             # n = 6 takes the DFS through its line and circle tests, the
             # circles through two earlier chosen points included
             (("--n", "6", "--dmin", "170", "--dmax", "176"),
@@ -543,7 +546,8 @@ class TestResumeAfterKill:
 
 def assert_out_of_memory_exit(*argv):
     """Run the command in a child whose own address space is capped at
-    256 MB, and check that it exits 2 with one line and no traceback."""
+    256 MB, check that it exits 2 with one line and no traceback, and return
+    that line."""
     script = (
         "import resource, runpy, sys\n"
         "limit = 256 << 20\n"
@@ -560,6 +564,7 @@ def assert_out_of_memory_exit(*argv):
     assert proc.stderr.startswith("error: out of memory")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+    return proc.stderr
 
 
 class TestSearchOutOfMemory:
@@ -570,8 +575,10 @@ class TestSearchOutOfMemory:
 
 class TestModsearchOutOfMemory:
     def test_memory_error_exits_2_without_traceback(self):
-        # the adjacency bitsets of Z_5000^2 take 5000^4 bits
-        assert_out_of_memory_exit("modsearch", "--modulus", "5000")
+        # the adjacency bitsets of Z_5000^2 take 5000^4 bits, 72 759 GiB:
+        # refused by that estimate before anything is allocated
+        line = assert_out_of_memory_exit("modsearch", "--modulus", "5000")
+        assert "5000^4 bits (72,759 GiB)" in line
 
 
 class TestModuleEntry:

@@ -420,11 +420,38 @@ def multiplicity(n, p):
     return v
 
 
+def screen_flips(c, q):
+    """The relations of the signs of y (0 equal, 1 opposite) with which the
+    upper vertex of a class with sign key c and a vertex of a class with
+    sign key q can pass the 4d^2 screen, by the keys alone."""
+    care, zero, wild, none, bits = c
+    care2, zero2, wild2, none2, bits2 = q
+    if none & zero2 or zero & none2:
+        return ()
+    common = care & care2 | wild & zero2 | zero & wild2
+    differ = (bits ^ bits2) & common
+    return tuple(flip for flip in (0, 1) if differ == (common if flip else 0))
+
+
+def image_key(key):
+    """The sign key of the bisector image of a class: every sign flipped."""
+    care, zero, wild, none, bits = key
+    return care, zero, wild, none, bits ^ (care | wild)
+
+
 class TestSignBlocks:
     """At an odd prime p with p^e || d, a signed vertex with p^v || gcd(X, Y)
     and v < e has X'/Y' = +-s mod p for one root s of -k, and two vertices
-    whose signs differ pass no 4d^2 screen.  The edge build tests only the
-    vertex pairs whose signs agree where both have one."""
+    whose signs differ pass no 4d^2 screen.  A wild vertex, e <= v < 2e,
+    passes it with a vertex with v = 0 only where its X'/Y' has that
+    vertex's sign.  The edge build tests only the vertex pairs whose signs
+    agree where both are constrained."""
+
+    # the pairs tested on a key, where the test counts them: on the first
+    # heptagon's key, 2 * 5 * 17 * 131, 16 415 reflection orbits of (class
+    # pair, sign relation) pass the screen, and its wild vertices
+    # (v = e = 1) all have neither sign
+    TESTED = {(22270, 2002): 16415}
 
     @pytest.mark.parametrize(
         "d, k, deep",
@@ -435,19 +462,21 @@ class TestSignBlocks:
             (4225, 1, True),
             (1009, 105, False),  # a prime
             (65, 1, False),  # k = 1: mirror partners can be adjacent
+            (22270, 2002, False),
         ],
     )
     def test_skipped_pairs_fail_the_screen(self, d, k, deep):
         classes, image_of = key_classes(d, k)
+        blocks = _sign_groups(d, k, classes, image_of)
         sign = {}
-        for (care, bits), (lows, highs) in _sign_groups(d, k, classes, image_of):
+        for key, (lows, highs) in blocks:
             assert len(highs) <= len(lows)
             for low, high in zip(lows, highs):
                 assert image_of[low[3]] == high[3]
             for entry in lows:
-                sign[entry[3]] = (care, bits)
+                sign[entry[3]] = key
             for entry in highs:
-                sign[entry[3]] = (care, bits ^ care)
+                sign[entry[3]] = image_key(key)
             for x, y, ky, i in lows + highs:
                 assert (x, y, ky) == (classes[i][2], classes[i][3], k * classes[i][3] ** 2)
         assert sorted(sign) == list(range(len(classes)))
@@ -458,19 +487,44 @@ class TestSignBlocks:
         )
 
         skipped = 0
+        wild_skipped = False
         for c, q in combinations_with_replacement(range(len(classes)), 2):
-            (care_c, bits_c), (care_q, bits_q) = sign[c], sign[q]
-            common = care_c & care_q
+            flips = screen_flips(sign[c], sign[q])
             for flip in (0, 1):
                 # the upper vertex of c and the upper (flip 0) or lower
                 # (flip 1) vertex of q, whose sign is the opposite
-                if (bits_c ^ bits_q) & common == (common if flip else 0):
+                if flip in flips:
                     continue
                 skipped += 1
                 (_, _, x, y), (_, _, xq, yq) = classes[c], classes[q]
                 n2 = (x - xq) ** 2 + k * (y + yq if flip else y - yq) ** 2
                 assert n2 % (4 * d * d), (c, q, flip)
+                wild_skipped |= any(
+                    multiplicity(math.gcd(u, s), p) >= e
+                    for u, s in ((x, y), (xq, yq))
+                    for p, e in odd
+                )
         assert skipped
+
+        tested = self.TESTED.get((d, k))
+        if tested is not None:
+            assert wild_skipped
+            # the pairs _adjacency tests, from the group sizes: a low tests
+            # its own group's lows after it and highs from its place on
+            # (with both signs where no prime constrains, its mirror
+            # partner included), and every block of each later group
+            count = 0
+            for gi, (key, (lows, highs)) in enumerate(blocks):
+                later = sum(
+                    len(lows2) * len(screen_flips(key, key2))
+                    + len(highs2) * len(screen_flips(key, image_key(key2)))
+                    for key2, (lows2, highs2) in blocks[gi + 1 :]
+                )
+                for r in range(len(lows)):
+                    count += (len(lows) - r - 1) * len(screen_flips(key, key)) + later
+                    count += len(highs[r:]) * len(screen_flips(key, image_key(key)))
+                    count += 1 in screen_flips(key, key)
+            assert count == tested
 
     @pytest.mark.parametrize("d, k", [(45, 11), (75, 11), (75, 1), (65, 1)])
     def test_edges_and_cliques_match_brute_force(self, d, k):
