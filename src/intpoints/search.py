@@ -33,9 +33,12 @@ which halves the tests.  An edge of length t has squared scaled length
 (2d*t)^2, so a divisibility test by 4d^2 screens the pairs before the
 exact square root of the quotient t^2.  An edge is dropped when its two
 points are collinear with a base point or concyclic with both, so the
-clique search tests only triples and quadruples of chosen points.  k-core
-pruning removes vertices with fewer than n - 3 live neighbours.  The
-depth-first search then runs on an explicit stack of candidate bitsets,
+clique search tests only triples and quadruples of chosen points.  These
+are the kernel's three base-point tests (``pointset._line`` and
+``pointset._circle``), which the edge build writes out in closed form, one
+integer cross-multiplication each, while the clique search and ``verify``
+call the kernel.  k-core pruning removes vertices with fewer than n - 3
+live neighbours.  The depth-first search then runs on an explicit stack of candidate bitsets,
 one per depth, and takes candidates lowest index first; after each new
 vertex it keeps the candidates among
 its neighbours (a bitset intersection) that lie on no line through it and
@@ -390,12 +393,17 @@ def _sign_groups(
 
 def _adjacency(
     d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int]
-) -> list[int]:
+) -> tuple[list[int], int]:
     """Neighbour bitsets of the signed vertices of ``classes``, vertex 2i
     below the base line and 2i + 1 above it, as ``_clique_stream`` numbers
-    them: two vertices are joined when they lie an integral distance of at
-    most d apart, on no line through a base point and on no circle through
-    both.
+    them, and the number of vertex pairs tested: two vertices are joined
+    when they lie an integral distance of at most d apart, on no line
+    through a base point and on no circle through both.  Those are the
+    kernel's tests ``_line(base, p)`` and ``_circle(base1, base2, p)`` for
+    the row's vertex p, written out: with x2 = 2d^2, q = (xq, yq) is
+    rejected when x*yq = xq*y, when (x2 - x)*yq = (x2 - xq)*y, or when
+    (x2*x - x^2 - k*y^2)*yq = (x2*xq - xq^2 - k*yq^2)*y, each checked only
+    for a pair at integral distance.
 
     Each low of ``_sign_groups`` is one row.  A prime constrains two
     classes when both have a sign there (``care``), or when one is wild
@@ -412,12 +420,13 @@ def _adjacency(
     the primes of ``care`` constrain.  The r-th low of a group tests the
     lows and highs of its own group from the r-th on, so each orbit of
     class pairs under the reflection is tested once, and an edge found also
-    joins the images.
+    joins the images.  The count of pairs tested is that of the squared
+    distances formed, one per orbit and sign relation.
     """
     edge_unit = 4 * d * d
     x2 = 2 * d * d
-    base1, base2 = (0, 0, 0), (x2 * x2, x2, 0)  # lifted (0, 0) and (x2, 0)
     adj = [0] * (2 * len(classes))
+    pairs = 0
     blocks = _sign_groups(d, k, classes, image_of)
     for gi, ((care, zero, wild, none, bits), (lows, highs)) in enumerate(blocks):
         same: list = []
@@ -445,22 +454,28 @@ def _adjacency(
             # only multiples of 4d^2 go on, and the exact root is taken of
             # the quotient t^2.
             two_ky = 2 * k * y
-            base_tests = None
+            # the row's constants of the three base tests below
+            xr = x2 - x
+            power = x2 * x - x * x - ky
             for flip, cross, targets in ((0, -two_ky, equal), (1, two_ky, flipped)):
                 n2s = [(x - xq) ** 2 + ky + kyq + cross * yq for xq, yq, kyq, _ in targets]
+                pairs += len(n2s)
                 for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0]:
                     t2 = n2s[j] // edge_unit
                     t = math.isqrt(t2)
                     if t * t != t2 or t > d:
                         continue
-                    xq, yq, _, iq = targets[j]
-                    if base_tests is None:
-                        # q on one of these is collinear with a base point
-                        # and p, or concyclic with both base points and p
-                        p = (x * x + ky, x, y)
-                        base_tests = (_line(base1, p), _line(base2, p), _circle(base1, base2, p))
+                    xq, yq, kyq, iq = targets[j]
                     yq = -yq if flip else yq
-                    if not _avoids(base_tests, (xq * xq + k * yq * yq, xq, yq)):
+                    # q on the line through p and (0, 0), on the one
+                    # through p and (x2, 0), or on the circle through p and
+                    # both: _line(base, p) and _circle(base1, base2, p), the
+                    # last divided by -x2
+                    if (
+                        x * yq == xq * y
+                        or xr * yq == (x2 - xq) * y
+                        or power * yq == (x2 * xq - xq * xq - kyq) * y
+                    ):
                         continue
                     # the edge joins the vertices with the sign relation
                     # tested (flip 0: equal signs), in this class pair and
@@ -471,7 +486,7 @@ def _adjacency(
                         ):
                             adj[vp] |= 1 << vq
                             adj[vq] |= 1 << vp
-    return adj
+    return adj, pairs
 
 
 def _clique_stream(
@@ -540,7 +555,7 @@ def _clique_stream(
     # their images are.  `image_of` gives the index of each class's image.
     position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
     image_of = [position[b, a] for a, b, _, _ in classes]
-    adj = _adjacency(d, k, classes, image_of)
+    adj, _ = _adjacency(d, k, classes, image_of)
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
     # neighbours in it.

@@ -196,11 +196,16 @@ def brute_force_point_sets(target_n: int, d_cap: int) -> set:
     return results
 
 
-def brute_force_mod_max(n: int) -> tuple[int, tuple]:
+def brute_force_mod_max(n: int, rooted: bool = True) -> tuple[int, tuple]:
     """Maximum general-position subset of Z_n^2 by subset DFS with pruning.
 
     Uses the literal definitions directly (memoized on translated keys);
-    no symmetry reduction, no bound pruning.
+    no bound pruning.  The one symmetry used is translation, and only when
+    ``rooted``: every set starts at (0, 0).  A translation by -p maps a set
+    with point p to one with (0, 0) and keeps each predicate, as integral
+    distance and collinearity read only differences of points and a circle
+    moves with its centre.  So some maximum set holds (0, 0), and the rooted
+    maximum is the maximum.
     """
     pts = [(u, v) for u in range(n) for v in range(n)]
     squares = {(d * d) % n for d in range(n)}
@@ -270,7 +275,10 @@ def brute_force_mod_max(n: int) -> tuple[int, tuple]:
             dfs(chosen, i + 1)
             chosen.pop()
 
-    dfs([], 0)
+    if rooted:
+        dfs([pts[0]], 1)  # pts[0] is (0, 0)
+    else:
+        dfs([], 0)
     return best[0], tuple(sorted(best[1]))
 
 

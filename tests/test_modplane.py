@@ -264,6 +264,11 @@ class TestMaxGeneralPosition:
         assert result.exact
         assert result.size == brute_force_mod_max(11)[0]
 
+    def test_rooted_oracle_matches_unrooted(self):
+        # the oracle fixes its first point at (0, 0), by translation
+        for n in range(2, 12):
+            assert brute_force_mod_max(n)[0] == brute_force_mod_max(n, rooted=False)[0], n
+
     @pytest.mark.slow
     def test_matches_brute_force_prime_13(self):
         result = mod_max_general_position(13)

@@ -220,7 +220,7 @@ class TestIntegralPairCheck:
         # triangle; its mirror chord has squared length k*(2q)^2 = 27
         [(_, _, x, s)] = _candidate_groups(3, CharFilter.fixed(3))[3]
         assert scaled_square(3, (x, s), (x, -s)) == 36 * 27
-        assert _adjacency(3, 3, [(3, 3, x, s)], [0]) == [0, 0]
+        assert _adjacency(3, 3, [(3, 3, x, s)], [0])[0] == [0, 0]
 
 
 class TestExtendCliques:
@@ -333,7 +333,7 @@ class TestReflectedEdgeBuild:
         d = 48
         assert_matches_brute_force(d, 1)
         classes, image_of = key_classes(d, 1)
-        adj = _adjacency(d, 1, classes, image_of)
+        adj, _ = _adjacency(d, 1, classes, image_of)
         found = list(search(SearchConfig(4, d, d, CharFilter.fixed(1))))
         adjacent = set()
         for i, (a, b, _, s) in enumerate(classes):
@@ -447,11 +447,11 @@ class TestSignBlocks:
     vertex's sign.  The edge build tests only the vertex pairs whose signs
     agree where both are constrained."""
 
-    # the pairs tested on a key, where the test counts them: on the first
-    # heptagon's key, 2 * 5 * 17 * 131, 16 415 reflection orbits of (class
-    # pair, sign relation) pass the screen, and its wild vertices
-    # (v = e = 1) all have neither sign
-    TESTED = {(22270, 2002): 16415}
+    # the pairs tested on a key: on the first heptagon's key, 2 * 5 * 17 *
+    # 131, 16 415 reflection orbits of (class pair, sign relation) pass the
+    # screen, and its wild vertices (v = e = 1) all have neither sign; on
+    # the second's, three times that d, 73 305
+    TESTED = {(22270, 2002): 16415, (66810, 2002): 73305}
 
     @pytest.mark.parametrize(
         "d, k, deep",
@@ -526,27 +526,45 @@ class TestSignBlocks:
                     count += 1 in screen_flips(key, key)
             assert count == tested
 
-    @pytest.mark.parametrize("d, k", [(45, 11), (75, 11), (75, 1), (65, 1)])
+    @pytest.mark.parametrize(
+        "d, k", [(45, 11), (75, 11), (75, 1), (65, 1), (107, 15), (113, 15)]
+    )
     def test_edges_and_cliques_match_brute_force(self, d, k):
         classes, image_of = key_classes(d, k)
         verts = naive_vertices(d, k)
         assert len(verts) == 2 * len(classes)
         base = [(Fraction(0), Fraction(0)), (Fraction(d), Fraction(0))]
         expected = [0] * len(verts)
+        # the pairs at integral distance that lie on a line through (0, 0),
+        # on one through (d, 0), and on a circle through both: the edge
+        # build's three base tests, each of which must drop some edge here
+        rejected = [0, 0, 0]
         for i, j in combinations(range(len(verts)), 2):
             p, q = verts[i][2:4], verts[j][2:4]
             sq = (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
             t = math.isqrt(sq.numerator)
             if sq.denominator != 1 or t * t != sq.numerator or t > d:
                 continue
-            if any(
+            kinds = [
                 (p[0] - b[0]) * (q[1] - b[1]) == (q[0] - b[0]) * (p[1] - b[1]) for b in base
-            ) or cross_ratio_concyclic_or_collinear(base + [p, q], k):
+            ]
+            kinds.append(cross_ratio_concyclic_or_collinear(base + [p, q], k))
+            rejected = [n + kind for n, kind in zip(rejected, kinds)]
+            if any(kinds):
                 continue
             expected[i] |= 1 << j
             expected[j] |= 1 << i
-        assert _adjacency(d, k, classes, image_of) == expected
+        assert all(rejected), rejected
+        adj, _ = _adjacency(d, k, classes, image_of)
+        assert adj == expected
         assert_matches_brute_force(d, k)
+
+    @pytest.mark.parametrize("d, k", [(22270, 2002), (66810, 2002)])
+    def test_pairs_tested(self, d, k):
+        # the squared distances _adjacency forms, one per reflection orbit
+        # of (class pair, sign relation) that its sign blocks keep
+        _, pairs = _adjacency(d, k, *key_classes(d, k))
+        assert pairs == self.TESTED[d, k]
 
 
 class TestSearch:
@@ -654,7 +672,7 @@ class TestSearch:
         assert [c[:2] for c in classes] == [(3, 4), (4, 3)]
         (_, _, x, s), (_, _, xq, sq) = classes
         assert scaled_square(1, (x, s), (xq, -sq)) == (2 * 5 * 5) ** 2
-        assert _adjacency(5, 1, classes, image_of) == [0, 0, 0, 0]
+        assert _adjacency(5, 1, classes, image_of)[0] == [0, 0, 0, 0]
         assert list(search(SearchConfig(4, 5, 5))) == []
 
     def test_trapezoid_of_two_mirror_pairs_rejected(self):
@@ -663,7 +681,7 @@ class TestSearch:
         # the edge build joins all four
         d = 528
         classes, image_of = key_classes(d, 1)
-        adj = _adjacency(d, 1, classes, image_of)
+        adj, _ = _adjacency(d, 1, classes, image_of)
         position = {c[:2]: i for i, c in enumerate(classes)}
         trapezoid = [2 * position[ab] + side for ab in ((424, 280), (289, 305)) for side in (0, 1)]
         for v, w in combinations(trapezoid, 2):
