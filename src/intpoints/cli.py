@@ -196,6 +196,7 @@ def cmd_modsearch(args) -> int:
         print("# node budget exhausted: value is a lower bound only", file=sys.stderr)
     for u, v in result.witness:
         print(f"{u} {v}")
+    print(f"# {result.nodes} node(s)", file=sys.stderr)
     return EXIT_OK
 
 

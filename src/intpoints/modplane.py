@@ -6,8 +6,9 @@ images {(a + w*t1, b + w*t2)} and circles are solution sets of
 (x-a)^2 + (y-b)^2 = r^2 with r != 0.  All three predicates are
 invariant under translation and under the stabilizer of (0, 0) that the
 swap, the negation of x, unit scalings and the rotations of determinant 1
-generate; the maximum-size search fixes its first point by the former and
-takes one second point per orbit of the latter.
+generate; the maximum-size search fixes its first point by the former,
+takes one second point per orbit of the latter, and one third point per
+orbit of the elements of the latter that fix the second point.
 """
 
 from __future__ import annotations
@@ -132,32 +133,49 @@ def mod_on_circle(
     return False
 
 
-def origin_orbits(n: int) -> list[int]:
+def origin_orbits(n: int, q: int = 0) -> list[int]:
     """For each point i = (i // n, i % n) of Z_n^2, the bitmask of its orbit
-    under the stabilizer of (0, 0) generated by the swap (x, y) -> (y, x),
-    the negation (x, y) -> (-x, y), the scalings by units u and the
-    rotations [[a, -b], [b, a]] with a^2 + b^2 = 1.
+    under the elements of the stabilizer of (0, 0) that also fix the point
+    q = (q // n, q % n); the default q = 0 keeps the whole stabilizer.
 
-    Each generator multiplies every squared length by a square unit and maps
-    lines to lines and circles of nonzero radius to circles of nonzero
-    radius, so all three predicates are invariant.  The swap is the
-    negation after the rotation by (0, 1), and the negation conjugates a
-    rotation to its inverse, so the orbit of (x, y) is the points
-    u*R*(x, y) and u*R*(-x, y) over all units u and rotations R.
+    The stabilizer is generated by the swap (x, y) -> (y, x), the negation
+    N: (x, y) -> (-x, y), the scalings by units w and the rotations
+    R = [[a, -b], [b, a]] with a^2 + b^2 = 1.  Each generator multiplies
+    every squared length by a square unit and maps lines to lines and
+    circles of nonzero radius to circles of nonzero radius, so all three
+    predicates are invariant.  The swap is N after the rotation by (0, 1),
+    and N conjugates a rotation to its inverse, so the elements are the
+    products w*R*N^s with s in {0, 1}; those sending q to q form a subgroup.
+
+    For one R*N^s, the units w that send its image of q back to q are
+    w0*U_q, where w0 is any one of them and U_q holds the units fixing q.
+    So the orbit of p is the union of the sets U_q*(w0*R*N^s*p), and a
+    point of it already met brings its whole set U_q*point with it.
     """
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    units = [w for w in range(1, n) if gcd(w, n) == 1]
     rotations = [(a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1]
+    qx, qy = divmod(q, n)
+    fixing_q = [w for w in units if (w * qx - qx) % n == 0 and (w * qy - qy) % n == 0]
+    back = {(w * qx % n, w * qy % n): pow(w, -1, n) for w in units}  # w*q -> 1/w
+    # w0*R*N^s as the matrix rows (g11, g12), (g21, g22), for each R*N^s
+    # that sends q to a unit multiple of q; the sign s is -1 where N acts
+    moves = set()
+    for a, b in rotations:
+        for s in (1, -1):
+            w0 = back.get(((s * a * qx - b * qy) % n, (s * b * qx + a * qy) % n))
+            if w0 is not None:
+                moves.add((w0 * s * a % n, -w0 * b % n, w0 * s * b % n, w0 * a % n))
     orbits = [0] * (n * n)
     for p in range(n * n):
         if orbits[p]:
             continue
         x, y = divmod(p, n)
         mask = 0
-        for a, b in rotations:
-            for u, v in ((a * x - b * y, b * x + a * y), (-a * x - b * y, a * y - b * x)):
-                if not mask >> (u % n * n + v % n) & 1:
-                    for w in units:
-                        mask |= 1 << (w * u % n * n + w * v % n)
+        for g11, g12, g21, g22 in moves:
+            u, v = (g11 * x + g12 * y) % n, (g21 * x + g22 * y) % n
+            if not mask >> (u * n + v) & 1:
+                for w in fixing_q:
+                    mask |= 1 << (w * u % n * n + w * v % n)
         rest = mask
         while rest:
             low = rest & -rest
@@ -183,10 +201,18 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     (Carraghan and Pardalos 1990).  All predicates are translation
     invariant, so the first point is fixed at (0,0), and invariant under
     the stabilizer of (0,0) (``origin_orbits``), so the second point runs
-    over the least point of each orbit only (McKay 1998).  A node is the root
-    and each admitted set after it; when ``node_budget`` nodes are
-    exhausted the best set found so far is returned flagged as a lower
-    bound (``exact=False``); a negative budget raises ``ValueError``.
+    over the least point of each orbit only (McKay 1998).  Below a second
+    point c, the third point runs over the least point of each orbit of
+    the elements that fix c (``origin_orbits(n, c)``).  That rule is sound
+    for the same reason: such an element fixes (0,0) and c and keeps the
+    three predicates and every orbit of the whole stabilizer, so it maps
+    the third point's candidates (neighbours of (0,0) and c in the orbits
+    not yet dropped at the second level) onto themselves, and any set
+    below c onto one whose third point is the least of its orbit there.
+    Elements that swap (0,0) and c are not used.  A node is the root and
+    each admitted set after it; when ``node_budget`` nodes are exhausted
+    the best set found so far is returned flagged as a lower bound
+    (``exact=False``); a negative budget raises ``ValueError``.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
@@ -209,7 +235,9 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     ]
 
     line_masks = ctx.line_masks()
-    orbits = origin_orbits(n)
+    # orbits[0] under the stabilizer of (0,0), orbits[1] under its elements
+    # that also fix the second point, set when one is taken
+    orbits = [origin_orbits(n), []]
     circles = ctx.circles_through
     count = [0] * (total * n)  # chosen points on each circle, by circle key
 
@@ -222,10 +250,11 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     # Depth-first over an explicit stack: stack[i] holds the candidates
     # left below chosen[:i + 1], and its lowest index is taken next.  A
     # level is dropped once its chosen and remaining points cannot beat
-    # the best set.  Taking the second point c drops c's whole orbit from
-    # its level; c's child keeps the later members.  A set whose least
-    # orbit leader is c maps, by an element sending its point of c's orbit
-    # to c, onto a set in c's branch.
+    # the best set.  Taking the second or the third point c drops c's
+    # whole orbit (orbits[0], orbits[1]) from its level; c's child keeps
+    # the later members.  A set whose least orbit leader at that level is
+    # c maps, by an element sending its point of c's orbit to c, onto a
+    # set in c's branch.
     stack = [] if exhausted else [adj[0]]
     while stack:
         rest = stack[-1]
@@ -236,7 +265,8 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
             continue
         low = rest & -rest
         c = low.bit_length() - 1
-        stack[-1] = rest & ~orbits[c] if len(stack) == 1 else rest ^ low
+        depth = len(stack)
+        stack[-1] = rest & ~orbits[depth - 1][c] if depth <= 2 else rest ^ low
         # c lies on a line with chosen p and q exactly when some cyclic
         # subgroup holds both c - p and c - q.
         seen = shared = 0
@@ -255,6 +285,8 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
             break
         if len(chosen) > len(best):
             best = tuple(chosen)
+        if depth == 1:
+            orbits[1] = origin_orbits(n, c)
         stack.append((rest ^ low) & adj[c])
 
     witness = tuple(divmod(i, n) for i in best)

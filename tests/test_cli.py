@@ -13,6 +13,7 @@ import pytest
 
 import intpoints
 from intpoints.cli import main
+from intpoints.modplane import mod_max_general_position
 from intpoints.pointset import (
     DistanceMatrix,
     EmbeddedPointSet,
@@ -378,6 +379,14 @@ class TestModsearchCommand:
         assert rc == 2
         assert out == ""
         assert "budget" in err
+
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_reports_the_nodes(self, capsys, budget):
+        argv = ["--modulus", "13"] + ([] if budget is None else ["--budget", str(budget)])
+        rc, _, err = run(capsys, "modsearch", *argv)
+        assert rc == 0
+        nodes = mod_max_general_position(13, node_budget=budget).nodes
+        assert err.splitlines()[-1] == f"# {nodes} node(s)"
 
 
 class TestPlainDecimalArguments:

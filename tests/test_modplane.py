@@ -25,30 +25,31 @@ PINNED = [
     (2, None, 4, True, 4, ((0, 0), (0, 1), (1, 0), (1, 1))),
     (3, None, 2, True, 2, ((0, 0), (0, 1))),
     (4, None, 4, True, 6, ((0, 0), (0, 1), (2, 0), (2, 1))),
-    (5, None, 4, True, 11, ((0, 0), (0, 1), (1, 3), (4, 3))),
-    (6, None, 4, True, 23, ((0, 0), (0, 1), (3, 0), (3, 1))),
-    (7, None, 3, True, 7, ((0, 0), (0, 1), (1, 0))),
-    (8, None, 4, True, 92, ((0, 0), (0, 1), (4, 0), (4, 1))),
-    (9, None, 5, True, 139, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
-    (10, None, 6, True, 801, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
-    (11, None, 4, True, 27, ((0, 0), (0, 1), (1, 6), (3, 6))),
-    (12, None, 4, True, 83, ((0, 0), (0, 1), (6, 0), (6, 1))),
-    (13, None, 6, True, 345, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
-    (14, None, 6, True, 503, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
-    (15, None, 4, True, 79, ((0, 0), (0, 1), (3, 0), (3, 11))),
-    # past the benchmark's moduli; m = 18 takes about a minute
-    (16, None, 6, True, 8393, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
-    (17, None, 6, True, 1880, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
-    (19, None, 5, True, 674, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
-    (20, None, 6, True, 10546, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
-    (21, None, 4, True, 38, ((0, 0), (0, 1), (3, 4), (18, 11))),
-    (22, None, 8, True, 9323, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
-    (23, None, 5, True, 2839, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
+    (5, None, 4, True, 8, ((0, 0), (0, 1), (1, 3), (4, 3))),
+    (6, None, 4, True, 17, ((0, 0), (0, 1), (3, 0), (3, 1))),
+    (7, None, 3, True, 5, ((0, 0), (0, 1), (1, 0))),
+    (8, None, 4, True, 61, ((0, 0), (0, 1), (4, 0), (4, 1))),
+    (9, None, 5, True, 81, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
+    (10, None, 6, True, 362, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
+    (11, None, 4, True, 16, ((0, 0), (0, 1), (1, 6), (3, 6))),
+    (12, None, 4, True, 63, ((0, 0), (0, 1), (6, 0), (6, 1))),
+    (13, None, 6, True, 161, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (14, None, 6, True, 246, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (15, None, 4, True, 32, ((0, 0), (0, 1), (3, 0), (3, 11))),
+    # past the benchmark's moduli; m = 18, about 14 s, is solved in CI
+    (16, None, 6, True, 4537, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
+    (17, None, 6, True, 981, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
+    (19, None, 5, True, 349, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
+    (20, None, 6, True, 3580, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
+    (21, None, 4, True, 21, ((0, 0), (0, 1), (3, 4), (18, 11))),
+    (22, None, 8, True, 4554, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
+    (23, None, 5, True, 1457, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
+    (30, None, 6, True, 10039, ((0, 0), (0, 1), (3, 0), (12, 5), (15, 4), (15, 5))),
     (11, 5, 4, False, 6, ((0, 0), (0, 1), (1, 6), (3, 6))),
     (13, 0, 1, False, 1, ((0, 0),)),
     (13, 1, 1, False, 2, ((0, 0),)),
     (13, 100, 6, False, 101, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
-    (14, 500, 6, False, 501, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (14, 100, 6, False, 101, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
 ]
 
 
@@ -58,6 +59,25 @@ def stabilizer_generators(n):
     units = [u for u in range(1, n) if gcd(u, n) == 1]
     rotations = [((a, -b), (b, a)) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1]
     return [((0, 1), (1, 0)), ((-1, 0), (0, 1))] + [((u, 0), (0, u)) for u in units] + rotations
+
+
+def group_elements(n):
+    """Every element w*R*N^s of the stabilizer of (0, 0): a unit scaling w,
+    a rotation R of determinant 1 and s in {0, 1} negations of x."""
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    rotations = [(a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1]
+    return {
+        ((w * s * a % n, -w * b % n), (w * s * b % n, w * a % n))
+        for w in units
+        for a, b in rotations
+        for s in (1, -1)
+    }
+
+
+def compose(g, h, n):
+    (a, b), (c, d) = g
+    (e, f), (k, l) = h
+    return (((a * e + b * k) % n, (a * f + b * l) % n), ((c * e + d * k) % n, (c * f + d * l) % n))
 
 
 def act(g, p, n):
@@ -249,6 +269,66 @@ class TestOriginSymmetry:
                 assert not covered & mask
                 covered |= mask
             assert covered == (1 << n * n) - 1
+
+    def test_products_are_the_generated_group(self):
+        for n in range(2, 16):
+            gens = [tuple(tuple(x % n for x in row) for row in g) for g in stabilizer_generators(n)]
+            group, todo = set(gens), list(gens)
+            while todo:
+                g = todo.pop()
+                for h in gens:
+                    gh = compose(g, h, n)
+                    if gh not in group:
+                        group.add(gh)
+                        todo.append(gh)
+            assert group == group_elements(n), n
+
+    def test_point_stabilizer_orbits_are_the_closures(self):
+        for n in range(2, 16):
+            elements = group_elements(n)
+            for q in range(n * n):
+                fixing = [g for g in elements if act(g, divmod(q, n), n) == divmod(q, n)]
+                orbits = origin_orbits(n, q)
+                covered = 0
+                for leader in range(n * n):
+                    if covered >> leader & 1:
+                        continue
+                    closure, todo = {leader}, [leader]
+                    while todo:
+                        p = divmod(todo.pop(), n)
+                        for g in fixing:
+                            u, v = act(g, p, n)
+                            if u * n + v not in closure:
+                                closure.add(u * n + v)
+                                todo.append(u * n + v)
+                    mask = sum(1 << i for i in closure)
+                    assert all(orbits[i] == mask for i in closure), (n, q, leader)
+                    covered |= mask
+                assert covered == (1 << n * n) - 1
+
+    def test_point_stabilizers_fix_and_preserve(self):
+        rng = random.Random(17)
+        seen = set()
+        for n in range(2, 16):
+            ctx = ModContext(n)
+            elements = group_elements(n)
+            for q in [divmod(rng.randrange(n * n), n) for _ in range(2)]:
+                for g in elements:
+                    if act(g, q, n) != q:
+                        continue
+                    assert act(g, (0, 0), n) == (0, 0), (n, g)
+                    pts = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+                    moved = [act(g, p, n) for p in pts]
+                    checks = [
+                        ("distance", mod_integral_distance(pts[0], pts[1], ctx),
+                         mod_integral_distance(moved[0], moved[1], ctx)),
+                        ("line", mod_is_collinear(pts[:3], ctx), mod_is_collinear(moved[:3], ctx)),
+                        ("circle", mod_on_circle(*pts, ctx), mod_on_circle(*moved, ctx)),
+                    ]
+                    for name, before, after in checks:
+                        assert before == after, (n, q, g, name, pts)
+                        seen.add((name, before))
+        assert len(seen) == 6
 
 
 class TestMaxGeneralPosition:
