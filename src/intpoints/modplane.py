@@ -6,9 +6,11 @@ images {(a + w*t1, b + w*t2)} and circles are solution sets of
 (x-a)^2 + (y-b)^2 = r^2 with r != 0.  All three predicates are
 invariant under translation and under the stabilizer of (0, 0) that the
 swap, the negation of x, unit scalings and the rotations of determinant 1
-generate; the maximum-size search fixes its first point by the former,
-takes one second point per orbit of the latter, and one third point per
-orbit of the elements of the latter that fix the second point.
+generate.  The maximum-size search fixes its first point by the former,
+takes one second point c per orbit of the latter, and one third point per
+orbit of the set stabilizer of {(0, 0), c}: the elements of the latter
+that fix c and the maps x -> c - g*x.  The descent argument is in
+``mod_max_general_position``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ class ModContext:
     ``squares`` is the full set of squares in Z_n (distance values admitted
     by the integral-distance test); ``radius_squares`` the values r^2 for
     r != 0 (admissible squared circle radii, may contain 0 for composite n).
-    Only the search needs the incidence structures: ``line_masks`` is built
-    on each call, once per search, and ``circles_through`` caches each
-    point's circles, because the search asks for them at every admission.
+    ``_offsets`` lists once the triples (a, b, v) with v = a^2 + b^2 mod n
+    in ``radius_squares``: a point p lies on the circle with centre
+    p + (a, b) and squared radius v, and on no other.  Only the search needs
+    the incidence structures: ``line_masks`` is built on each call, once
+    per search, and ``circles_through`` translates the offsets to a point
+    and caches the result, because the search asks for it at every
+    admission.
     """
 
     def __init__(self, n: int):
@@ -37,6 +43,12 @@ class ModContext:
         self.n = n
         self.squares = frozenset((d * d) % n for d in range(n))
         self.radius_squares = frozenset((r * r) % n for r in range(1, n))
+        self._offsets = [
+            (a, b, (a * a + b * b) % n)
+            for a in range(n)
+            for b in range(n)
+            if (a * a + b * b) % n in self.radius_squares
+        ]
         self._circles_through: dict[int, list[int]] = {}
 
     def reduce(self, p: ModPoint) -> ModPoint:
@@ -73,12 +85,7 @@ class ModContext:
             return cached
         n = self.n
         x, y = divmod(idx, n)
-        out = []
-        for a in range(n):
-            for b in range(n):
-                val = ((x - a) ** 2 + (y - b) ** 2) % n
-                if val in self.radius_squares:
-                    out.append((a * n + b) * n + val)
+        out = [((x + a) % n * n + (y + b) % n) * n + v for a, b, v in self._offsets]
         self._circles_through[idx] = out
         return out
 
@@ -133,10 +140,12 @@ def mod_on_circle(
     return False
 
 
-def origin_orbits(n: int, q: int = 0) -> list[int]:
-    """For each point i = (i // n, i % n) of Z_n^2, the bitmask of its orbit
-    under the elements of the stabilizer of (0, 0) that also fix the point
-    q = (q // n, q % n); the default q = 0 keeps the whole stabilizer.
+# an element of the stabilizer of (0, 0) as the matrix rows (g11, g12), (g21, g22)
+Matrix = tuple[int, int, int, int]
+
+
+def stabilizer(n: int) -> list[Matrix]:
+    """Every element of the stabilizer of (0, 0) in Z_n^2, each once.
 
     The stabilizer is generated by the swap (x, y) -> (y, x), the negation
     N: (x, y) -> (-x, y), the scalings by units w and the rotations
@@ -145,43 +154,64 @@ def origin_orbits(n: int, q: int = 0) -> list[int]:
     circles of nonzero radius to circles of nonzero radius, so all three
     predicates are invariant.  The swap is N after the rotation by (0, 1),
     and N conjugates a rotation to its inverse, so the elements are the
-    products w*R*N^s with s in {0, 1}; those sending q to q form a subgroup.
-
-    For one R*N^s, the units w that send its image of q back to q are
-    w0*U_q, where w0 is any one of them and U_q holds the units fixing q.
-    So the orbit of p is the union of the sets U_q*(w0*R*N^s*p), and a
-    point of it already met brings its whole set U_q*point with it.
+    products w*R*N^s with s in {0, 1}; the sign s is -1 where N acts.
     """
     units = [w for w in range(1, n) if gcd(w, n) == 1]
     rotations = [(a, b) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1]
-    qx, qy = divmod(q, n)
-    fixing_q = [w for w in units if (w * qx - qx) % n == 0 and (w * qy - qy) % n == 0]
-    back = {(w * qx % n, w * qy % n): pow(w, -1, n) for w in units}  # w*q -> 1/w
-    # w0*R*N^s as the matrix rows (g11, g12), (g21, g22), for each R*N^s
-    # that sends q to a unit multiple of q; the sign s is -1 where N acts
-    moves = set()
-    for a, b in rotations:
-        for s in (1, -1):
-            w0 = back.get(((s * a * qx - b * qy) % n, (s * b * qx + a * qy) % n))
-            if w0 is not None:
-                moves.add((w0 * s * a % n, -w0 * b % n, w0 * s * b % n, w0 * a % n))
+    return list(
+        {
+            (w * s * a % n, -w * b % n, w * s * b % n, w * a % n)
+            for w in units
+            for a, b in rotations
+            for s in (1, -1)
+        }
+    )
+
+
+def origin_orbits(n: int, elements: Sequence[Matrix]) -> list[int]:
+    """For each point i = (i // n, i % n) of Z_n^2, the bitmask of its orbit
+    under ``elements``, the stabilizer of (0, 0) (``stabilizer(n)``)."""
     orbits = [0] * (n * n)
     for p in range(n * n):
         if orbits[p]:
             continue
         x, y = divmod(p, n)
         mask = 0
-        for g11, g12, g21, g22 in moves:
-            u, v = (g11 * x + g12 * y) % n, (g21 * x + g22 * y) % n
-            if not mask >> (u * n + v) & 1:
-                for w in fixing_q:
-                    mask |= 1 << (w * u % n * n + w * v % n)
+        for g11, g12, g21, g22 in elements:
+            mask |= 1 << ((g11 * x + g12 * y) % n * n + (g21 * x + g22 * y) % n)
         rest = mask
         while rest:
             low = rest & -rest
             orbits[low.bit_length() - 1] = mask
             rest ^= low
     return orbits
+
+
+def point_stabilizer(elements: Sequence[Matrix], n: int, c: int) -> list[Matrix]:
+    """The elements of ``elements`` that fix the point c = (c // n, c % n)."""
+    cx, cy = divmod(c, n)
+    return [
+        g for g in elements if ((g[0] * cx + g[1] * cy) % n, (g[2] * cx + g[3] * cy) % n) == (cx, cy)
+    ]
+
+
+def pair_orbit(fixing: Sequence[Matrix], n: int, c: int, p: int) -> int:
+    """The bitmask of the orbit of the point p under the set stabilizer of
+    {(0, 0), c}, where ``fixing`` holds the elements of the stabilizer of
+    (0, 0) that fix c (``point_stabilizer``).
+
+    That group is made of the elements g of ``fixing`` and the maps
+    x -> c - g*x, which swap (0, 0) and c.  The map s_c: x -> c - x
+    commutes with each g, as g*(c - x) = c - g*x, so the orbit of p is the
+    points g*p and c - g*p.
+    """
+    cx, cy = divmod(c, n)
+    x, y = divmod(p, n)
+    mask = 0
+    for g11, g12, g21, g22 in fixing:
+        u, v = (g11 * x + g12 * y) % n, (g21 * x + g22 * y) % n
+        mask |= 1 << (u * n + v) | 1 << ((cx - u) % n * n + (cy - v) % n)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -198,21 +228,39 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
 
     Backtracking clique search over the integral-distance graph with
     incremental line and circle constraints and a best-so-far bound
-    (Carraghan and Pardalos 1990).  All predicates are translation
-    invariant, so the first point is fixed at (0,0), and invariant under
-    the stabilizer of (0,0) (``origin_orbits``), so the second point runs
-    over the least point of each orbit only (McKay 1998).  Below a second
-    point c, the third point runs over the least point of each orbit of
-    the elements that fix c (``origin_orbits(n, c)``).  That rule is sound
-    for the same reason: such an element fixes (0,0) and c and keeps the
-    three predicates and every orbit of the whole stabilizer, so it maps
-    the third point's candidates (neighbours of (0,0) and c in the orbits
-    not yet dropped at the second level) onto themselves, and any set
-    below c onto one whose third point is the least of its orbit there.
-    Elements that swap (0,0) and c are not used.  A node is the root and
-    each admitted set after it; when ``node_budget`` nodes are exhausted
-    the best set found so far is returned flagged as a lower bound
-    (``exact=False``); a negative budget raises ``ValueError``.
+    (Carraghan and Pardalos 1990).  The first point is (0,0).  The second
+    point runs over the least point of each orbit of the stabilizer G of
+    (0,0) (``stabilizer``, ``origin_orbits``); below a second point c the
+    third point runs over the least point of each orbit of the set
+    stabilizer H of {(0,0), c} (``pair_orbit``), whose elements are the g
+    in G with g*c = c and the maps x -> c - g*x (McKay 1998).  Taking a
+    point at either level drops its whole orbit there; its child keeps the
+    later members.  Deeper levels use no symmetry.
+
+    Why no set is lost.  Let L(x) be the least point of the G-orbit of x
+    and, for a set T, m(T) the least L(q - p) over ordered pairs of
+    distinct points p, q of T.  Translations and G keep the three
+    predicates and m, as differences of points move only by the linear
+    part.  For T in general position take a pair with L(q - p) = m(T) = c
+    and g in G with g*(q - p) = c: T' = g*(T - p) holds (0,0) and c, and
+    its other points x have L(x) >= c, so x > c, as c is the least point
+    of its own orbit.  They are neighbours of (0,0) and c in no orbit
+    dropped before c at the second level, so T' lies in c's branch.  Each
+    map of H is affine with its linear part g or -g in G, so every H-image
+    of T' also holds (0,0) and c, has m = c and lies in c's branch,
+    although x -> c - x does not map c's candidates onto themselves.
+    Among the H-images of T' take one, T'', whose least point y other
+    than (0,0) and c is least.  A third point z < y taken before y drops
+    only its H-orbit; a point of T'' in it would map, by an element of H,
+    to z and give an image with a smaller third point.  So all of T'' is
+    still a candidate when y is taken, and the levels below try every
+    subset of y's child.  A level is dropped only when its chosen and
+    remaining points cannot beat the best set.
+
+    A node is the root and each admitted set after it; when
+    ``node_budget`` nodes are exhausted the best set found so far is
+    returned flagged as a lower bound (``exact=False``); a negative budget
+    raises ``ValueError``.
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
@@ -235,9 +283,9 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     ]
 
     line_masks = ctx.line_masks()
-    # orbits[0] under the stabilizer of (0,0), orbits[1] under its elements
-    # that also fix the second point, set when one is taken
-    orbits = [origin_orbits(n), []]
+    elements = stabilizer(n)
+    orbits = origin_orbits(n, elements)
+    fixing: list[Matrix] = []  # the elements fixing the second point, set when one is taken
     circles = ctx.circles_through
     count = [0] * (total * n)  # chosen points on each circle, by circle key
 
@@ -251,10 +299,8 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     # left below chosen[:i + 1], and its lowest index is taken next.  A
     # level is dropped once its chosen and remaining points cannot beat
     # the best set.  Taking the second or the third point c drops c's
-    # whole orbit (orbits[0], orbits[1]) from its level; c's child keeps
-    # the later members.  A set whose least orbit leader at that level is
-    # c maps, by an element sending its point of c's orbit to c, onto a
-    # set in c's branch.
+    # whole orbit (orbits, pair_orbit) from its level; c's child keeps
+    # the later members.
     stack = [] if exhausted else [adj[0]]
     while stack:
         rest = stack[-1]
@@ -266,7 +312,12 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
         low = rest & -rest
         c = low.bit_length() - 1
         depth = len(stack)
-        stack[-1] = rest & ~orbits[depth - 1][c] if depth <= 2 else rest ^ low
+        if depth > 2:
+            stack[-1] = rest ^ low
+        elif depth == 2:
+            stack[-1] = rest & ~pair_orbit(fixing, n, chosen[1], c)
+        else:
+            stack[-1] = rest & ~orbits[c]
         # c lies on a line with chosen p and q exactly when some cyclic
         # subgroup holds both c - p and c - q.
         seen = shared = 0
@@ -286,7 +337,7 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
         if len(chosen) > len(best):
             best = tuple(chosen)
         if depth == 1:
-            orbits[1] = origin_orbits(n, c)
+            fixing = point_stabilizer(elements, n, c)
         stack.append((rest ^ low) & adj[c])
 
     witness = tuple(divmod(i, n) for i in best)

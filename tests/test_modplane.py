@@ -14,6 +14,9 @@ from intpoints.modplane import (
     mod_max_general_position,
     mod_on_circle,
     origin_orbits,
+    pair_orbit,
+    point_stabilizer,
+    stabilizer,
 )
 
 from .oracles import brute_force_mod_max
@@ -24,31 +27,31 @@ from .oracles import brute_force_mod_max
 PINNED = [
     (2, None, 4, True, 4, ((0, 0), (0, 1), (1, 0), (1, 1))),
     (3, None, 2, True, 2, ((0, 0), (0, 1))),
-    (4, None, 4, True, 6, ((0, 0), (0, 1), (2, 0), (2, 1))),
+    (4, None, 4, True, 4, ((0, 0), (0, 1), (2, 0), (2, 1))),
     (5, None, 4, True, 8, ((0, 0), (0, 1), (1, 3), (4, 3))),
-    (6, None, 4, True, 17, ((0, 0), (0, 1), (3, 0), (3, 1))),
-    (7, None, 3, True, 5, ((0, 0), (0, 1), (1, 0))),
-    (8, None, 4, True, 61, ((0, 0), (0, 1), (4, 0), (4, 1))),
-    (9, None, 5, True, 81, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
-    (10, None, 6, True, 362, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
-    (11, None, 4, True, 16, ((0, 0), (0, 1), (1, 6), (3, 6))),
-    (12, None, 4, True, 63, ((0, 0), (0, 1), (6, 0), (6, 1))),
-    (13, None, 6, True, 161, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
-    (14, None, 6, True, 246, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
-    (15, None, 4, True, 32, ((0, 0), (0, 1), (3, 0), (3, 11))),
-    # past the benchmark's moduli; m = 18, about 14 s, is solved in CI
-    (16, None, 6, True, 4537, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
-    (17, None, 6, True, 981, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
-    (19, None, 5, True, 349, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
-    (20, None, 6, True, 3580, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
-    (21, None, 4, True, 21, ((0, 0), (0, 1), (3, 4), (18, 11))),
-    (22, None, 8, True, 4554, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
-    (23, None, 5, True, 1457, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
-    (30, None, 6, True, 10039, ((0, 0), (0, 1), (3, 0), (12, 5), (15, 4), (15, 5))),
+    (6, None, 4, True, 12, ((0, 0), (0, 1), (3, 0), (3, 1))),
+    (7, None, 3, True, 4, ((0, 0), (0, 1), (1, 0))),
+    (8, None, 4, True, 40, ((0, 0), (0, 1), (4, 0), (4, 1))),
+    (9, None, 5, True, 43, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
+    (10, None, 6, True, 240, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
+    (11, None, 4, True, 11, ((0, 0), (0, 1), (1, 6), (3, 6))),
+    (12, None, 4, True, 38, ((0, 0), (0, 1), (6, 0), (6, 1))),
+    (13, None, 6, True, 93, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (14, None, 6, True, 139, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (15, None, 4, True, 24, ((0, 0), (0, 1), (3, 0), (3, 11))),
+    # past the benchmark's moduli; m = 18, about 13 s, is solved in CI
+    (16, None, 6, True, 2470, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
+    (17, None, 6, True, 548, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
+    (19, None, 5, True, 192, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
+    (20, None, 6, True, 2349, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
+    (21, None, 4, True, 14, ((0, 0), (0, 1), (3, 4), (18, 11))),
+    (22, None, 8, True, 2440, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
+    (23, None, 5, True, 794, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
+    (30, None, 6, True, 6298, ((0, 0), (0, 1), (3, 0), (12, 5), (15, 4), (15, 5))),
     (11, 5, 4, False, 6, ((0, 0), (0, 1), (1, 6), (3, 6))),
     (13, 0, 1, False, 1, ((0, 0),)),
     (13, 1, 1, False, 2, ((0, 0),)),
-    (13, 100, 6, False, 101, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (13, 50, 6, False, 51, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
     (14, 100, 6, False, 101, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
 ]
 
@@ -83,6 +86,22 @@ def compose(g, h, n):
 def act(g, p, n):
     (a, b), (c, d) = g
     return ((a * p[0] + b * p[1]) % n, (c * p[0] + d * p[1]) % n)
+
+
+def swap_act(g, c, p, n):
+    """The map p -> c - g*p of the set stabilizer of {(0, 0), c}."""
+    u, v = act(g, p, n)
+    return ((c[0] - u) % n, (c[1] - v) % n)
+
+
+def predicate_checks(pts, moved, ctx):
+    """Each predicate on four sampled points and on their images."""
+    return [
+        ("distance", mod_integral_distance(pts[0], pts[1], ctx),
+         mod_integral_distance(moved[0], moved[1], ctx)),
+        ("line", mod_is_collinear(pts[:3], ctx), mod_is_collinear(moved[:3], ctx)),
+        ("circle", mod_on_circle(*pts, ctx), mod_on_circle(*moved, ctx)),
+    ]
 
 
 class TestModContext:
@@ -205,6 +224,21 @@ class TestOnCircle:
                     expected = True
         assert mod_on_circle(*quad, ctx) == expected
 
+    def test_circles_through_are_the_scanned_circles(self):
+        # the search's translated offsets against a scan of every centre
+        for n in range(2, 13):
+            ctx = ModContext(n)
+            for x in range(n):
+                for y in range(n):
+                    scanned = [
+                        (a * n + b) * n + val
+                        for a in range(n)
+                        for b in range(n)
+                        if (val := ((x - a) ** 2 + (y - b) ** 2) % n) in ctx.radius_squares
+                    ]
+                    keys = ctx.circles_through(x * n + y)
+                    assert sorted(keys) == sorted(scanned), (n, x, y)
+
     @given(
         n=st.integers(min_value=2, max_value=8),
         quad=st.tuples(*[st.tuples(st.integers(0, 7), st.integers(0, 7))] * 4),
@@ -233,13 +267,7 @@ class TestOriginSymmetry:
                 for _ in range(2):
                     pts = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
                     moved = [act(g, p, n) for p in pts]
-                    checks = [
-                        ("distance", mod_integral_distance(pts[0], pts[1], ctx),
-                         mod_integral_distance(moved[0], moved[1], ctx)),
-                        ("line", mod_is_collinear(pts[:3], ctx), mod_is_collinear(moved[:3], ctx)),
-                        ("circle", mod_on_circle(*pts, ctx), mod_on_circle(*moved, ctx)),
-                    ]
-                    for name, before, after in checks:
+                    for name, before, after in predicate_checks(pts, moved, ctx):
                         assert before == after, (n, g, name, pts)
                         seen.add((name, before))
         # both outcomes of every predicate were sampled
@@ -247,7 +275,7 @@ class TestOriginSymmetry:
 
     def test_orbits_are_the_generator_closures(self):
         for n in range(2, 16):
-            orbits = origin_orbits(n)
+            orbits = origin_orbits(n, stabilizer(n))
             gens = stabilizer_generators(n)
             assert len(orbits) == n * n
             covered = 0
@@ -282,13 +310,19 @@ class TestOriginSymmetry:
                         group.add(gh)
                         todo.append(gh)
             assert group == group_elements(n), n
+            # the search's own list: the same group, each element once
+            elements = [((g11, g12), (g21, g22)) for g11, g12, g21, g22 in stabilizer(n)]
+            assert len(elements) == len(group) and set(elements) == group, n
 
-    def test_point_stabilizer_orbits_are_the_closures(self):
+    def test_pair_orbits_are_the_closures(self):
+        # the third level's masks: orbits under the elements fixing c and
+        # the maps x -> c - g*x, closed here from the test's own group
         for n in range(2, 16):
-            elements = group_elements(n)
+            elements, searched_group = group_elements(n), stabilizer(n)
             for q in range(n * n):
-                fixing = [g for g in elements if act(g, divmod(q, n), n) == divmod(q, n)]
-                orbits = origin_orbits(n, q)
+                c = divmod(q, n)
+                fixing = [g for g in elements if act(g, c, n) == c]
+                searched = point_stabilizer(searched_group, n, q)
                 covered = 0
                 for leader in range(n * n):
                     if covered >> leader & 1:
@@ -297,12 +331,12 @@ class TestOriginSymmetry:
                     while todo:
                         p = divmod(todo.pop(), n)
                         for g in fixing:
-                            u, v = act(g, p, n)
-                            if u * n + v not in closure:
-                                closure.add(u * n + v)
-                                todo.append(u * n + v)
+                            for u, v in (act(g, p, n), swap_act(g, c, p, n)):
+                                if u * n + v not in closure:
+                                    closure.add(u * n + v)
+                                    todo.append(u * n + v)
                     mask = sum(1 << i for i in closure)
-                    assert all(orbits[i] == mask for i in closure), (n, q, leader)
+                    assert all(pair_orbit(searched, n, q, i) == mask for i in closure), (n, q, leader)
                     covered |= mask
                 assert covered == (1 << n * n) - 1
 
@@ -319,14 +353,28 @@ class TestOriginSymmetry:
                     assert act(g, (0, 0), n) == (0, 0), (n, g)
                     pts = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
                     moved = [act(g, p, n) for p in pts]
-                    checks = [
-                        ("distance", mod_integral_distance(pts[0], pts[1], ctx),
-                         mod_integral_distance(moved[0], moved[1], ctx)),
-                        ("line", mod_is_collinear(pts[:3], ctx), mod_is_collinear(moved[:3], ctx)),
-                        ("circle", mod_on_circle(*pts, ctx), mod_on_circle(*moved, ctx)),
-                    ]
-                    for name, before, after in checks:
+                    for name, before, after in predicate_checks(pts, moved, ctx):
                         assert before == after, (n, q, g, name, pts)
+                        seen.add((name, before))
+        assert len(seen) == 6
+
+    def test_pair_swaps_exchange_and_preserve(self):
+        # x -> c - g*x for g fixing c swaps (0, 0) and c and keeps the
+        # three predicates
+        rng = random.Random(18)
+        seen = set()
+        for n in range(2, 16):
+            ctx = ModContext(n)
+            elements = group_elements(n)
+            for c in [divmod(rng.randrange(n * n), n) for _ in range(2)]:
+                for g in elements:
+                    if act(g, c, n) != c:
+                        continue
+                    assert swap_act(g, c, (0, 0), n) == c and swap_act(g, c, c, n) == (0, 0), (n, c, g)
+                    pts = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+                    moved = [swap_act(g, c, p, n) for p in pts]
+                    for name, before, after in predicate_checks(pts, moved, ctx):
+                        assert before == after, (n, c, g, name, pts)
                         seen.add((name, before))
         assert len(seen) == 6
 
@@ -338,6 +386,13 @@ class TestMaxGeneralPosition:
             expected_size, _ = brute_force_mod_max(n)
             assert result.exact
             assert result.size == expected_size, n
+
+    # the moduli where the third level's swaps drop the most nodes
+    @pytest.mark.parametrize("n", [9, 10, 12, pytest.param(14, marks=pytest.mark.slow), 15])
+    def test_matches_brute_force_composite(self, n):
+        result = mod_max_general_position(n)
+        assert result.exact
+        assert result.size == brute_force_mod_max(n)[0]
 
     def test_matches_brute_force_prime_11(self):
         result = mod_max_general_position(11)
