@@ -7,9 +7,10 @@ images {(a + w*t1, b + w*t2)} and circles are solution sets of
 invariant under translation and under the stabilizer of (0, 0) that the
 swap, the negation of x, unit scalings and the rotations of determinant 1
 generate.  The maximum-size search fixes its first point by the former,
-takes one second point c per orbit of the latter, and one third point per
-orbit of the set stabilizer of {(0, 0), c}: the elements of the latter
-that fix c and the maps x -> c - g*x.  The descent argument is in
+and takes its second and its third point one per orbit of the set
+stabilizer of {(0, 0), a}, a the last chosen point: the elements of the
+latter that fix a and the maps x -> a - g*x.  For the second point that
+group is the stabilizer of (0, 0) itself.  The descent argument is in
 ``mod_max_general_position``.
 """
 
@@ -168,25 +169,6 @@ def stabilizer(n: int) -> list[Matrix]:
     )
 
 
-def origin_orbits(n: int, elements: Sequence[Matrix]) -> list[int]:
-    """For each point i = (i // n, i % n) of Z_n^2, the bitmask of its orbit
-    under ``elements``, the stabilizer of (0, 0) (``stabilizer(n)``)."""
-    orbits = [0] * (n * n)
-    for p in range(n * n):
-        if orbits[p]:
-            continue
-        x, y = divmod(p, n)
-        mask = 0
-        for g11, g12, g21, g22 in elements:
-            mask |= 1 << ((g11 * x + g12 * y) % n * n + (g21 * x + g22 * y) % n)
-        rest = mask
-        while rest:
-            low = rest & -rest
-            orbits[low.bit_length() - 1] = mask
-            rest ^= low
-    return orbits
-
-
 def point_stabilizer(elements: Sequence[Matrix], n: int, c: int) -> list[Matrix]:
     """The elements of ``elements`` that fix the point c = (c // n, c % n)."""
     cx, cy = divmod(c, n)
@@ -203,7 +185,9 @@ def pair_orbit(fixing: Sequence[Matrix], n: int, c: int, p: int) -> int:
     That group is made of the elements g of ``fixing`` and the maps
     x -> c - g*x, which swap (0, 0) and c.  The map s_c: x -> c - x
     commutes with each g, as g*(c - x) = c - g*x, so the orbit of p is the
-    points g*p and c - g*p.
+    points g*p and c - g*p.  For c = (0, 0) and the whole stabilizer as
+    ``fixing`` it is the orbit of p under the stabilizer, which holds the
+    maps x -> -g*x.
     """
     cx, cy = divmod(c, n)
     x, y = divmod(p, n)
@@ -229,33 +213,34 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     Backtracking clique search over the integral-distance graph with
     incremental line and circle constraints and a best-so-far bound
     (Carraghan and Pardalos 1990).  The first point is (0,0).  The second
-    point runs over the least point of each orbit of the stabilizer G of
-    (0,0) (``stabilizer``, ``origin_orbits``); below a second point c the
-    third point runs over the least point of each orbit of the set
-    stabilizer H of {(0,0), c} (``pair_orbit``), whose elements are the g
-    in G with g*c = c and the maps x -> c - g*x (McKay 1998).  Taking a
-    point at either level drops its whole orbit there; its child keeps the
-    later members.  Deeper levels use no symmetry.
+    and the third point run over the least point of each orbit of the set
+    stabilizer H of {(0,0), a}, where a is the last chosen point (McKay
+    1998).  Its elements are the g in the stabilizer G of (0,0)
+    (``stabilizer``) with g*a = a (``point_stabilizer``) and the maps
+    x -> a - g*x (``pair_orbit``).  For the second point a is (0,0) and H
+    is G, as x -> -g*x lies in G (-1 is a unit).  Taking a point drops its
+    whole H-orbit from its level; its child keeps the later members.
+    Deeper levels use no symmetry.
 
-    Why no set is lost.  Let L(x) be the least point of the G-orbit of x
-    and, for a set T, m(T) the least L(q - p) over ordered pairs of
-    distinct points p, q of T.  Translations and G keep the three
-    predicates and m, as differences of points move only by the linear
-    part.  For T in general position take a pair with L(q - p) = m(T) = c
-    and g in G with g*(q - p) = c: T' = g*(T - p) holds (0,0) and c, and
-    its other points x have L(x) >= c, so x > c, as c is the least point
-    of its own orbit.  They are neighbours of (0,0) and c in no orbit
-    dropped before c at the second level, so T' lies in c's branch.  Each
-    map of H is affine with its linear part g or -g in G, so every H-image
-    of T' also holds (0,0) and c, has m = c and lies in c's branch,
-    although x -> c - x does not map c's candidates onto themselves.
-    Among the H-images of T' take one, T'', whose least point y other
-    than (0,0) and c is least.  A third point z < y taken before y drops
-    only its H-orbit; a point of T'' in it would map, by an element of H,
-    to z and give an image with a smaller third point.  So all of T'' is
-    still a candidate when y is taken, and the levels below try every
-    subset of y's child.  A level is dropped only when its chosen and
-    remaining points cannot beat the best set.
+    Why no set is lost.  Let T be in general position and F the sets
+    g*(T - p) for p in T and g in G.  Translations and G keep the three
+    predicates, so each member of F is in general position, holds (0,0)
+    and has its other points among the neighbours of (0,0), the second
+    point's candidates.  One step serves both levels.  Let E be a family
+    of sets that the level's H maps into itself, each member holding the
+    chosen points and its other points among the level's candidates.  Let
+    y be the least unchosen point of any member and E_y the members
+    holding y.  A point z < y taken before y drops only its H-orbit, and a
+    point of a member S of E_y in it would map, by an element h of H, to
+    z: h*S is in E and holds z < y.  So each member of E_y is intact when
+    y is taken, and its other points are in y's child.  G maps F into
+    itself, so the step with E = F gives a second point c and F_c.  The
+    set stabilizer of {(0,0), c} maps F_c into itself: for g in G with
+    g*c = c and S in F_c, g*S and c - g*S = (-g)*(S - c) are in F and hold
+    c, so they are in F_c.  So the step applies to the third point too,
+    and the levels below try every subset of its child.  A level is
+    dropped only when its chosen and remaining points cannot beat the best
+    set.
 
     A node is the root and each admitted set after it; when
     ``node_budget`` nodes are exhausted the best set found so far is
@@ -283,9 +268,10 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     ]
 
     line_masks = ctx.line_masks()
-    elements = stabilizer(n)
-    orbits = origin_orbits(n, elements)
-    fixing: list[Matrix] = []  # the elements fixing the second point, set when one is taken
+    # groups[i] holds the elements of the stabilizer of (0, 0) that fix
+    # chosen[i], for the level below it: (0, 0) and then the second point,
+    # whose entry is set when that point is taken
+    groups = [stabilizer(n)]
     circles = ctx.circles_through
     count = [0] * (total * n)  # chosen points on each circle, by circle key
 
@@ -299,8 +285,8 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     # left below chosen[:i + 1], and its lowest index is taken next.  A
     # level is dropped once its chosen and remaining points cannot beat
     # the best set.  Taking the second or the third point c drops c's
-    # whole orbit (orbits, pair_orbit) from its level; c's child keeps
-    # the later members.
+    # whole orbit (pair_orbit) from its level; c's child keeps the later
+    # members.
     stack = [] if exhausted else [adj[0]]
     while stack:
         rest = stack[-1]
@@ -314,10 +300,8 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
         depth = len(stack)
         if depth > 2:
             stack[-1] = rest ^ low
-        elif depth == 2:
-            stack[-1] = rest & ~pair_orbit(fixing, n, chosen[1], c)
         else:
-            stack[-1] = rest & ~orbits[c]
+            stack[-1] = rest & ~pair_orbit(groups[depth - 1], n, chosen[-1], c)
         # c lies on a line with chosen p and q exactly when some cyclic
         # subgroup holds both c - p and c - q.
         seen = shared = 0
@@ -337,7 +321,7 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
         if len(chosen) > len(best):
             best = tuple(chosen)
         if depth == 1:
-            fixing = point_stabilizer(elements, n, c)
+            groups[1:] = [point_stabilizer(groups[0], n, c)]
         stack.append((rest ^ low) & adj[c])
 
     witness = tuple(divmod(i, n) for i in best)

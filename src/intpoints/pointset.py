@@ -166,8 +166,12 @@ def _heron_part(a: int, b: int, c: int) -> int:
 
     Merges the parts p of the four factors as k*p / gcd(k, p)**2: each
     factor is at most 3*max(a,b,c), so the huge product itself is never
-    factorized.
+    factorized.  The sides are first divided by their gcd g, which divides
+    the product by g**4 and keeps k, so a scaled certificate is factored
+    as the unscaled one is.
     """
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
     k = 1
     for f in (a + b + c, a + b - c, a - b + c, -a + b + c):
         p = squarefree_part(f)

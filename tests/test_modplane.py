@@ -13,7 +13,6 @@ from intpoints.modplane import (
     mod_is_collinear,
     mod_max_general_position,
     mod_on_circle,
-    origin_orbits,
     pair_orbit,
     point_stabilizer,
     stabilizer,
@@ -275,7 +274,7 @@ class TestOriginSymmetry:
 
     def test_orbits_are_the_generator_closures(self):
         for n in range(2, 16):
-            orbits = origin_orbits(n, stabilizer(n))
+            orbits = [pair_orbit(stabilizer(n), n, 0, p) for p in range(n * n)]
             gens = stabilizer_generators(n)
             assert len(orbits) == n * n
             covered = 0
@@ -313,6 +312,12 @@ class TestOriginSymmetry:
             # the search's own list: the same group, each element once
             elements = [((g11, g12), (g21, g22)) for g11, g12, g21, g22 in stabilizer(n)]
             assert len(elements) == len(group) and set(elements) == group, n
+
+    def test_negation_is_in_the_stabilizer(self):
+        # so the second point's orbits are the pair orbits about (0, 0):
+        # x -> -g*x is in the stabilizer for each g in it
+        for n in range(2, 31):
+            assert (n - 1, 0, 0, n - 1) in stabilizer(n), n
 
     def test_pair_orbits_are_the_closures(self):
         # the third level's masks: orbits under the elements fixing c and

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -163,6 +164,22 @@ class TestVerify:
         assert report.characteristic == 2002
         assert report.canonical.passed
         assert not report.cluster_candidate
+
+    def test_scaled_heptagon_costs_what_the_unscaled_one_does(self, heptagon1):
+        # the next primes after 10**20 and 2*10**20: the Heron factors of the
+        # scaled sides are too hard to factor, those of the unscaled ones not
+        lam = 100000000000000000039 * 200000000000000000089
+        scaled = DistanceMatrix([[lam * x for x in row] for row in heptagon1.rows])
+        start = time.process_time()
+        report, e = verify(scaled), embed(scaled)
+        assert time.process_time() - start < 1
+        assert report.lines() == [
+            line.replace("diameter=22270 ", f"diameter={lam * 22270} ")
+            for line in verify(heptagon1).lines()
+        ]
+        plain = embed(heptagon1)
+        assert e.k == plain.k
+        assert e.points == tuple((lam * x, lam * y) for x, y in plain.points)
 
     def test_heptagon2_passes(self, heptagon2):
         report = verify(heptagon2)
