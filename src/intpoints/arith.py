@@ -98,7 +98,10 @@ def factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > n:
-            break
+            # no prime below p divides n < p^2, so n is 1 or a prime
+            if n > 1:
+                factors[n] = 1
+            return factors
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import catalog
@@ -21,10 +21,10 @@ from .arith import decimal_int
 from .modplane import mod_max_general_position
 from .pointset import (
     DistanceMatrix,
-    EmbeddedPointSet,
     InvalidDistanceMatrix,
     NotRealizable,
     embed,
+    embed_frame,
     parse_matrix_text,
     pointset_characteristic,  # not called here; perfbench/tracing.py wraps this name
     verify,
@@ -36,8 +36,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _ratio(p: int, q: int) -> str:
+    """p/q in lowest terms, for q > 0, as "p/q" (a Fraction's terms)."""
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
 
 
 def _read_matrix(path: str) -> DistanceMatrix:
@@ -49,11 +51,9 @@ def _read_matrix(path: str) -> DistanceMatrix:
     return parse_matrix_text(text)
 
 
-def _coords_json(e: EmbeddedPointSet) -> list[dict]:
-    return [
-        {"x": _frac(x), "y": {"coeff": _frac(q), "radicand": e.k}}
-        for x, q in e.points
-    ]
+def _coords_json(k: int, coords) -> list[dict]:
+    """The points (x, q*sqrt(k)) of the (x, q) text pairs ``coords``."""
+    return [{"x": x, "y": {"coeff": q, "radicand": k}} for x, q in coords]
 
 
 def cmd_verify(args) -> int:
@@ -90,25 +90,31 @@ def cmd_embed(args) -> int:
     except NotRealizable as exc:
         print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    coords = [(_ratio(*x.as_integer_ratio()), _ratio(*q.as_integer_ratio())) for x, q in e.points]
     if args.format == "json":
-        print(json.dumps({"n": e.n, "radicand": e.k, "points": _coords_json(e)}))
+        print(json.dumps({"n": e.n, "radicand": e.k, "points": _coords_json(e.k, coords)}))
     else:
-        for x, q in e.points:
-            print(f"({_frac(x)}, {_frac(q)} sqrt({e.k}))")
+        for x, q in coords:
+            print(f"({x}, {q} sqrt({e.k}))")
     return EXIT_OK
 
 
 def _record(m: DistanceMatrix) -> str:
-    # no three points of a search result are collinear, so every triangle,
-    # the embedding's base triangle too, has the set's characteristic
-    e = embed(m)
+    """One JSON line of a search result: its matrix and its exact points.
+
+    The points are the integers of ``embed_frame`` over their scale,
+    reduced by their gcd as a ``Fraction`` would be; no ``Fraction`` is
+    built.  No three points of a search result are collinear, so every
+    triangle, the frame's base triangle too, has the set's characteristic.
+    """
+    s, xs, ys, k = embed_frame(m)
     return json.dumps(
         {
             "n": m.n,
             "diameter": m.diameter(),
-            "characteristic": e.k,
+            "characteristic": k,
             "matrix": [list(r) for r in m.rows],
-            "points": _coords_json(e),
+            "points": _coords_json(k, [(_ratio(x, s), _ratio(y, s)) for x, y in zip(xs, ys)]),
         }
     )
 

@@ -90,6 +90,15 @@ class DistanceMatrix:
         object.__setattr__(self, "rows", rows)
         check_matrix_shape(self.rows)
 
+    @classmethod
+    def _of_valid(cls, rows: tuple[tuple[int, ...], ...]) -> "DistanceMatrix":
+        """The matrix of ``rows``, tuples of ints that are known to pass
+        ``check_matrix_shape``: a relabeling of a matrix, or the rows the
+        clique search builds from a set's distances.  Nothing is checked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -104,7 +113,8 @@ class DistanceMatrix:
         """Relabeled copy: new point i is old point perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm}")
-        return DistanceMatrix(tuple(tuple(self.rows[pi][pj] for pj in perm) for pi in perm))
+        rows = self.rows
+        return DistanceMatrix._of_valid(tuple(tuple(rows[pi][pj] for pj in perm) for pi in perm))
 
 
 def check_matrix_shape(rows: Sequence[Sequence[int]]) -> None:
@@ -341,6 +351,19 @@ class EmbeddedPointSet:
 def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
     """Exact embedding of ``m`` in the plane, or a NotRealizable error.
 
+    The integers of ``embed_frame`` as ``Fraction``s: point j sits at
+    (X_j/s, (Y_j/s)*sqrt(k)).
+    """
+    s, xs, ys, k = embed_frame(m, allow_collinear)
+    return EmbeddedPointSet(k, tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(xs, ys)))
+
+
+def embed_frame(
+    m: DistanceMatrix, allow_collinear: bool = False
+) -> tuple[int, list[int], list[int], int]:
+    """Exact embedding of ``m`` in integers, as (s, X, Y, k), or a
+    NotRealizable error.
+
     Fixes p1 = (0,0) and p2 = (d12, 0) and works in integers scaled by
     s = 2*d12, the frame of the search's candidate index: point j with
     distances a, b to p1, p2 sits at (X_j, Y_j*sqrt(k)) / s, where
@@ -348,7 +371,8 @@ def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
     product of (d12, a, b).  The radicand k is the square-free part of H at
     the reference point p3; every later point's H must be k times a square,
     and the distance to p3 picks the sign of Y.  All remaining pairwise
-    distances are then checked exactly, as (s*d)^2.
+    distances are then checked exactly, as (s*d)^2.  A single point is
+    (1, [0], [0], 1).
 
     With ``allow_collinear`` points may land on the base line (H = 0) and
     the reference point becomes the first point off the axis; otherwise
@@ -356,7 +380,7 @@ def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
     """
     n = m.n
     if n == 1:
-        return EmbeddedPointSet(1, ((Fraction(0), Fraction(0)),))
+        return 1, [0], [0], 1
     d12 = m.entry(0, 1)
     s = 2 * d12
     xs = [0, s * d12]
@@ -409,7 +433,7 @@ def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
                     f"embedded distance between points {i + 1} and {j + 1} "
                     f"does not match the matrix"
                 )
-    return EmbeddedPointSet(k, tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(xs, ys)))
+    return s, xs, ys, k
 
 
 def distances_from_embedding(e: EmbeddedPointSet) -> DistanceMatrix:

@@ -72,16 +72,23 @@ with opposite signs of y those whose pattern is opposite there; the
 reflection still halves the tests within each block.  The primes of d
 are factored once per d.  The prime 2 is left out.
 
-Most keys at n = 4 are decided before any of this.  Unless k is a square,
-the two vertices of one class lie an irrational 2S*sqrt(k)/(2d) apart, so a
-clique holds at most one of them.  A key of one class c and its bisector
-image c' then holds a 4-point set only through an edge from c to c'.
-With opposite signs of y, (0, 0), p, (d, 0) and p' form a parallelogram
-whose diagonals are the base and the edge, so t^2 = 2a^2 + 2b^2 - d^2,
-and the key stops at once unless t is an integer of at most d.  With
-equal signs they form an isosceles trapezoid, which is cyclic, so the
-base-circle test drops that edge.  At n = 3 a single vertex is a set, so
-the rule applies at n = 4 only.
+Most keys at n = 4 are decided before any of this, by two rules that the
+candidate index evaluates on the raw (u, v) pairs of each key, before any
+entry (a, b, X, S), square root or clique stream exists for it.  A pair
+gives the classes (a, b) and (b, a), or one class when v = 0.  Unless k is
+a square, the two vertices of one class lie an irrational 2S*sqrt(k)/(2d)
+apart, so a clique holds at most one of them, and a key with fewer than
+n - 2 classes (half as many when k is a square) holds no set.  A key of
+one class c and its bisector image c' then holds a 4-point set only
+through an edge from c to c'.  With opposite signs of y, (0, 0), p, (d, 0)
+and p' form a parallelogram whose diagonals are the base and the edge, so
+t^2 = 2a^2 + 2b^2 - d^2 = u^2 + v^2 - d^2, and the key holds no set unless
+t is an integer of at most d.  With equal signs they form an isosceles
+trapezoid, which is cyclic, so the base-circle test drops that edge.  At
+n = 3 a single vertex is a set, so this rule applies at n = 4 only.  A key
+that either rule decides keeps an empty bucket: the search still counts
+it for its shard and logs it as done in a checkpoint, but it starts no
+clique stream.
 
 Each point set is canonicalized once per orbit of cliques, not once per
 clique (McKay, "Isomorph-free exhaustive generation", 1998).  The mirror M
@@ -231,9 +238,10 @@ def enumerate_triangles(d_max: int) -> Iterator[tuple[int, int, int]]:
 
 
 def _candidate_groups(
-    d: int, char_filter: CharFilter
+    d: int, char_filter: CharFilter, n: int = 3
 ) -> dict[int, list[tuple[int, int, int, int]]]:
-    """Raw candidates over base (0,0)-(d,0), grouped by characteristic.
+    """Candidates over base (0,0)-(d,0) for n-point sets, grouped by
+    characteristic.
 
     Each entry is ``(a, b, X, S)`` in coordinates scaled by 2d: the point is
     ``(X/(2d), (S/(2d))*sqrt(k))`` before sign choice, at distances a, b <= d
@@ -255,8 +263,12 @@ def _candidate_groups(
 
     The pairing is a semi-join: only the v's whose key some u has are
     indexed, and only the u's whose key is in that index are walked, one
-    lookup each.  S is computed for admitted candidates only, as isqrt of
-    the Heron product (u^2 - d^2)(d^2 - v^2) divided by k.
+    lookup each.  The admitted (u, v) pairs are grouped by k first.  A key
+    whose pairs cannot hold an n-point set (the class count and, at n = 4,
+    the one-orbit rule of the module docstring) keeps an empty bucket, so
+    that the search still counts it; no entry is built for it.  At n = 3
+    every key holds a set.  S is computed for the entries of the other keys
+    only, as isqrt of the Heron product (u^2 - d^2)(d^2 - v^2) divided by k.
     """
     sqf = _spf_sieve(3 * d)
     d2 = d * d
@@ -285,22 +297,38 @@ def _candidate_groups(
     for v in [v for v, key in enumerate(v_keys) if key in wanted]:
         index.setdefault(v_keys[v], ([], []))[v & 1].append(v)
 
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    pairs: dict[int, list[tuple[int, int]]] = {}
     for i in [i for i, key in enumerate(u_keys) if key in index]:
         u, ka = d + 1 + i, u_parts[i]
         vs = index[u_keys[i]][u & 1]
-        hu = u * u - d2
         for v in vs[: bisect_right(vs, 2 * d - u)]:  # a, b <= d
             kb = v_parts[v]
-            k = ka * kb // math.gcd(ka, kb) ** 2
-            s = math.isqrt(hu * (d2 - v * v) // k)
+            pairs.setdefault(ka * kb // math.gcd(ka, kb) ** 2, []).append((u, v))
+
+    need = n - 2
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    while pairs:  # each key's pairs are let go once its bucket is built
+        k, uvs = pairs.popitem()
+        groups[k] = bucket = []
+        # a pair gives the classes (a, b) and (b, a), one class when v = 0;
+        # unless k is a square, a clique holds one vertex of each class
+        square = math.isqrt(k) ** 2 == k
+        classes = 2 * len(uvs) - sum(1 for _, v in uvs if not v)
+        if (2 * classes if square else classes) < need:
+            continue
+        # one orbit at n = 4: the parallelogram diagonal, of squared length
+        # 2a^2 + 2b^2 - d^2 = u^2 + v^2 - d^2, must be an integer <= d
+        if need == 2 and not square and len(uvs) == 1 and uvs[0][1]:
+            u, v = uvs[0]
+            t2 = u * u + v * v - d2
+            if math.isqrt(t2) ** 2 != t2 or t2 > d2:
+                continue
+        for u, v in uvs:
+            s = math.isqrt((u * u - d2) * (d2 - v * v) // k)
             a, b = (u + v) // 2, (u - v) // 2
-            bucket = groups.setdefault(k, [])
             bucket.append((a, b, u * v + d2, s))
             if v:
                 bucket.append((b, a, d2 - u * v, s))
-
-    for bucket in groups.values():
         bucket.sort()
     return groups
 
@@ -516,11 +544,8 @@ def _clique_stream(
     The depth-first search runs on an explicit stack of candidate bitsets,
     lowest index first, so cliques come out in the order of an ascending
     index scan.  A key whose k-core is empty returns before the search is
-    set up.  At n = 4 with k not a square, a key of one class pair returns
-    before any set-up when the parallelogram diagonal does not have
-    integral length at most d: a clique holds one vertex of each class, and
-    the diagonal is the only edge between them that the base-circle test
-    keeps (module docstring).  Of each orbit of cliques under
+    set up; the keys that the class count or the one-orbit rule decide never
+    get here (``_candidate_groups``).  Of each orbit of cliques under
     G = {id, M, R, MR}, with M the mirror v -> v ^ 1 and R the bisector
     reflection 2i + s -> 2j + s, only the least reaches ``canonical_form``:
     a leaf is skipped when M, R or MR maps it to a smaller sorted tuple,
@@ -534,20 +559,6 @@ def _clique_stream(
     """
     need = n - 2
     nv = 2 * len(classes)
-    square = math.isqrt(k) ** 2 == k
-    # Mirror partners lie 2S*sqrt(k) apart, irrational unless k is a
-    # square, so then a clique holds at most one vertex of each class.
-    if (nv if square else len(classes)) < need:
-        return
-    # So at n = 4 a key of one class c and its image c' needs an edge
-    # c-c'.  With opposite signs of y, (0, 0), p, (d, 0), p' form a
-    # parallelogram with diagonals d and t; with equal signs, a cyclic
-    # trapezoid, whose edge the base-circle test drops.
-    if need == 2 and not square and len(classes) == 2 and classes[0][:2] == classes[1][1::-1]:
-        a, b = classes[0][:2]
-        t2 = 2 * a * a + 2 * b * b - d * d
-        if math.isqrt(t2) ** 2 != t2 or t2 > d * d:
-            return
 
     # The reflection R in the perpendicular bisector of the base maps class
     # (a, b, X, S) to (b, a, 2d^2 - X, S): it swaps the base points and
@@ -620,7 +631,8 @@ def _clique_stream(
                     t = math.isqrt(((x - xq) ** 2 + k * (y - yq) ** 2) // edge_unit)
                     rows[ci + 2][cj + 2] = rows[cj + 2][ci + 2] = t
             chosen.pop()
-            canon, _ = canonical_form(DistanceMatrix(rows))
+            # the rows of a clique are a valid matrix: no check
+            canon, _ = canonical_form(DistanceMatrix._of_valid(tuple(map(tuple, rows))))
             if canon.rows not in seen:
                 seen.add(canon.rows)
                 yield canon
@@ -743,7 +755,7 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
     with log or nullcontext():
         counter = 0
         for d in range(config.d_min, config.d_max + 1):
-            groups = _candidate_groups(d, config.char_filter)
+            groups = _candidate_groups(d, config.char_filter, config.target_n)
             for k in sorted(groups):
                 key_index = counter
                 counter += 1
@@ -751,7 +763,8 @@ def search(config: SearchConfig, checkpoint: Optional[str] = None) -> Iterator[D
                     continue
                 if (d, k) in done:
                     continue
-                yield from _clique_stream(d, k, groups[k], config.target_n)
+                if groups[k]:  # an empty bucket holds no set, but is a key
+                    yield from _clique_stream(d, k, groups[k], config.target_n)
                 if log is not None:
                     log.write(b"%d %d\n" % (d, k))
                     log.flush()

@@ -19,6 +19,10 @@ def sympy_is_prime(n: int) -> bool:
     return isprime(n)
 
 
+def sympy_factorize(n: int) -> dict[int, int]:
+    return dict(factorint(n))
+
+
 def sympy_squarefree_part(n: int) -> int:
     m = 1
     for p, e in factorint(n).items():

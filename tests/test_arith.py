@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intpoints import arith
 from intpoints.arith import factorize, is_probable_prime, squarefree_part
 
-from .oracles import sympy_is_prime, sympy_squarefree_part
+from .oracles import sympy_factorize, sympy_is_prime, sympy_squarefree_part
 
 # the least strong pseudoprimes to the prime bases up to 37 and up to 41
 # (Sorenson and Webster), and the two prime factors of the first
@@ -105,3 +106,32 @@ class TestFactorize:
             assert is_probable_prime(p)
             prod *= p**e
         assert prod == n
+
+    def test_matches_sympy_small(self):
+        for n in range(1, 20_001):
+            assert factorize(n) == sympy_factorize(n), n
+
+    def test_matches_sympy_seeded(self):
+        rng = random.Random(25)
+        for _ in range(3000):
+            n = rng.randrange(1, 10**12)
+            assert factorize(n) == sympy_factorize(n), n
+
+    @pytest.mark.parametrize(
+        "n", [4093**2, 4099**2, 4093 * 4099, 2**40, 4093, 4099, 2 * 4099, 4091 * 4093]
+    )
+    def test_matches_sympy_at_the_trial_bound(self, n):
+        # 4093 is the largest trial prime and 4099 the next prime after it
+        assert factorize(n) == sympy_factorize(n)
+
+    def test_cofactor_below_the_next_square_is_prime(self, monkeypatch):
+        # trial division stops at the first p with p^2 > n, and what is left
+        # has no prime factor below p: it is prime without a primality test
+        def refuse(n):
+            raise AssertionError(f"primality test on {n}")
+
+        monkeypatch.setattr(arith, "is_probable_prime", refuse)
+        rng = random.Random(7)
+        edges = [4093**2 - 1, 2 * 4099, 3 * 4091 * 4093]
+        for n in edges + [rng.randrange(1, 4093**2) for _ in range(500)]:
+            assert factorize(n) == sympy_factorize(n), n

@@ -12,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import intpoints
-from intpoints.cli import main
+from intpoints import pointset as pointset_module
+from intpoints.cli import _record, main
 from intpoints.modplane import mod_max_general_position
 from intpoints.pointset import (
     DistanceMatrix,
     EmbeddedPointSet,
     distances_from_embedding,
+    embed,
     pointset_characteristic,
 )
 
@@ -340,6 +342,38 @@ class TestSearchRecords:
         assert expected
         assert proc.stdout.splitlines() == expected
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "4", "--dmax", "60"),
+        ("--n", "5", "--dmin", "73", "--dmax", "90"),
+        ("--n", "7", "--char", "2002", "--dmin", "22270", "--dmax", "22270"),
+    ])
+    def test_points_are_the_embedding(self, capsys, argv):
+        # the record's points, formatted from integers, are embed's Fractions
+        rc, out, _ = run(capsys, "search", *argv)
+        assert rc == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records
+        for rec in records:
+            e = embed(DistanceMatrix(rec["matrix"]))
+            assert rec["characteristic"] == e.k
+            assert [
+                (Fraction(p["x"]), Fraction(p["y"]["coeff"]), p["y"]["radicand"])
+                for p in rec["points"]
+            ] == [(x, q, e.k) for x, q in e.points]
+            for p in rec["points"]:
+                for text in (p["x"], p["y"]["coeff"]):
+                    f = Fraction(text)
+                    assert text == f"{f.numerator}/{f.denominator}"
+
+    def test_records_build_no_fraction(self, monkeypatch, heptagon1, heptagon2):
+        expected = [_record(m) for m in (heptagon1, heptagon2)]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(pointset_module, "Fraction", refuse)
+        assert [_record(m) for m in (heptagon1, heptagon2)] == expected
+
 
 class TestModsearchCommand:
     def test_modulus_5(self, capsys):
@@ -486,6 +520,33 @@ class TestDeterminism:
         assert rc == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "d2dca5f4a51cf16dbadf037eb9c7b78ae56bf256768fff971b12796b33d4d5ad"
+
+    def test_search_shard_and_checkpoint_pinned(self, capsys, tmp_path):
+        # keys that hold no set are still counted by the shard index and
+        # logged as done: at d = 81..100, 27 229 of the 31 899 keys
+        rc, out, _ = run(capsys, "search", "--n", "4", "--dmin", "81", "--dmax", "100",
+                         "--shard", "1/3")
+        assert rc == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "38d080b8a3d852885f6d0e6b12d94751c3ce67a3a7b3d9eabc39ad61a71aaf1d"
+        ck = tmp_path / "ck"
+        rc, out, _ = run(capsys, "search", "--n", "4", "--dmin", "81", "--dmax", "100",
+                         "--resume", str(ck))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "188cdf538be344252a3a9278dbd2d6b65ee4e0fa529b73063c74dbc594645396"
+        )
+        assert ck.read_bytes().count(b"\n") == 1 + 31899
+        digest = hashlib.sha256(ck.read_bytes()).hexdigest()
+        assert digest == "e770b9f0b162c001cdf62111e1cd63796a41c9a90eaa876f614713d21307fbf9"
+
+    def test_search_n5_pinned(self, capsys):
+        # at n = 5 the class count decides most keys of these diameters
+        rc, out, _ = run(capsys, "search", "--n", "5", "--dmin", "300", "--dmax", "303")
+        assert rc == 0
+        assert out.count("\n") == 7
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "3a79d84c99a1b3f279da3adffa8a93218d02d444d86529bb7ebeb21aa8c28148"
 
     def test_verify_output_stable(self, capsys, heptagon1_file):
         _, first, _ = run(capsys, "verify", str(heptagon1_file))

@@ -15,6 +15,7 @@ from intpoints.pointset import (
     NotRealizable,
     distances_from_embedding,
     embed,
+    embed_frame,
     is_concyclic_or_collinear,
     verify,
 )
@@ -152,6 +153,25 @@ class TestAgainstFractionOracle:
             rows[i][j] = rows[j][i] = max(1, rows[i][j] + rng.choice([-1, 1]))
             matrices.append(DistanceMatrix(rows))
         self.check(matrices)
+
+
+class TestEmbedFrame:
+    """``embed`` is ``embed_frame``'s integers over their scale."""
+
+    def test_frame_realizes_the_matrix(self, heptagon1, heptagon2):
+        found = list(search(SearchConfig(4, 1, 40))) + list(search(SearchConfig(5, 73, 90)))
+        for m in found + [heptagon1, heptagon2]:
+            s, xs, ys, k = embed_frame(m)
+            assert s == 2 * m.entry(0, 1)
+            assert embed(m) == EmbeddedPointSet(
+                k, tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(xs, ys))
+            )
+            for i, j in combinations(range(m.n), 2):
+                assert (xs[i] - xs[j]) ** 2 + k * (ys[i] - ys[j]) ** 2 == (s * m.entry(i, j)) ** 2
+
+    def test_single_point(self):
+        assert embed_frame(DistanceMatrix([[0]])) == (1, [0], [0], 1)
+        assert embed(DistanceMatrix([[0]])).points == ((0, 0),)
 
 
 class TestDistancesFromEmbedding:

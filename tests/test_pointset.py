@@ -51,6 +51,24 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidDistanceMatrix):
             parse_matrix_text("2\n0 x\n1 0")
 
+    def test_found_sets_are_checked_once(self, monkeypatch):
+        # a clique's rows and a relabeling of a matrix are valid by
+        # construction: neither the search nor canonical_form checks them
+        from intpoints import pointset
+        from intpoints.search import SearchConfig, search
+
+        checked = []
+        monkeypatch.setattr(pointset, "check_matrix_shape", checked.append)
+        found = list(search(SearchConfig(4, 60, 70))) + list(search(SearchConfig(5, 73, 80)))
+        assert found and not checked
+        monkeypatch.undo()
+        for m in found:
+            assert DistanceMatrix(m.rows) == m
+            relabeled = m.permuted(list(range(m.n))[::-1])
+            assert type(relabeled.rows) is tuple
+            assert all(type(row) is tuple for row in relabeled.rows)
+            assert DistanceMatrix(relabeled.rows) == relabeled
+
     def test_diameter(self, heptagon1, heptagon2):
         assert heptagon1.diameter() == 22270
         assert heptagon2.diameter() == 66810

@@ -195,6 +195,58 @@ class TestCandidateIndex:
                 assert sum(map(len, got.values())) == sum(map(len, expected.values()))
 
 
+class TestDeadKeys:
+    """The index decides the keys that hold no n-point set on their (u, v)
+    pairs: the class count, and at n = 4 the parallelogram diagonal of a
+    key of one class pair.  Such a key keeps an empty bucket."""
+
+    @pytest.mark.parametrize("n, d_min, d_max", [(4, 1, 100), (5, 1, 60), (5, 300, 300)])
+    def test_dead_keys_hold_no_set(self, n, d_min, d_max):
+        dead = 0
+        for d in range(d_min, d_max + 1):
+            full = _candidate_groups(d, CharFilter.any_char())
+            pruned = _candidate_groups(d, CharFilter.any_char(), n)
+            assert pruned.keys() == full.keys()
+            for k, bucket in pruned.items():
+                if bucket:
+                    assert bucket == full[k]
+                else:
+                    dead += 1
+                    assert list(_clique_stream(d, k, full[k], n)) == [], (d, k)
+        assert dead
+
+    def test_counts_at_n4_window(self):
+        # d = 81..100: 27 229 of 31 899 keys, 26 681 by the diagonal and
+        # 548 by the class count, holding 53 910 of the 83 140 entries
+        keys = entries = dead = diagonal = dead_entries = 0
+        for d in range(81, 101):
+            full = _candidate_groups(d, CharFilter.any_char())
+            pruned = _candidate_groups(d, CharFilter.any_char(), 4)
+            for k, bucket in full.items():
+                keys += 1
+                entries += len(bucket)
+                if not pruned[k]:
+                    dead += 1
+                    dead_entries += len(bucket)
+                    diagonal += len(bucket) == 2 and bucket[0][:2] == bucket[1][1::-1]
+        assert (keys, entries) == (31899, 83140)
+        assert (dead, diagonal, dead_entries) == (27229, 26681, 53910)
+
+    def test_search_streams_live_keys_only(self, monkeypatch):
+        streamed = []
+        original = search_module._clique_stream
+
+        def recording(d, k, classes, n):
+            assert classes
+            streamed.append((d, k))
+            return original(d, k, classes, n)
+
+        monkeypatch.setattr(search_module, "_clique_stream", recording)
+        out = list(search(SearchConfig(4, 81, 100)))
+        assert len(out) == 1421
+        assert len(streamed) == 31899 - 27229
+
+
 def scaled_square(k, p, q):
     """(2d)^2 times the squared distance of the signed points p = (X, Y) and
     q over a base of length d, which lie at (X/(2d), (Y/(2d))*sqrt(k))."""
