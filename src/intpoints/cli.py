@@ -21,10 +21,10 @@ from .arith import decimal_int
 from .modplane import mod_max_general_position
 from .pointset import (
     DistanceMatrix,
+    EmbeddedPointSet,
     InvalidDistanceMatrix,
     NotRealizable,
     embed,
-    embed_frame,
     parse_matrix_text,
     pointset_characteristic,  # not called here; perfbench/tracing.py wraps this name
     verify,
@@ -51,9 +51,10 @@ def _read_matrix(path: str) -> DistanceMatrix:
     return parse_matrix_text(text)
 
 
-def _coords_json(k: int, coords) -> list[dict]:
-    """The points (x, q*sqrt(k)) of the (x, q) text pairs ``coords``."""
-    return [{"x": x, "y": {"coeff": q, "radicand": k}} for x, q in coords]
+def _coords_json(e: EmbeddedPointSet) -> list[dict]:
+    """The points (x, q*sqrt(k)) of ``e``, with x and q as "p/q" texts."""
+    s, k = e.scale, e.k
+    return [{"x": _ratio(x, s), "y": {"coeff": _ratio(y, s), "radicand": k}} for x, y in zip(e.xs, e.ys)]
 
 
 def cmd_verify(args) -> int:
@@ -90,31 +91,31 @@ def cmd_embed(args) -> int:
     except NotRealizable as exc:
         print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    coords = [(_ratio(*x.as_integer_ratio()), _ratio(*q.as_integer_ratio())) for x, q in e.points]
+    points = _coords_json(e)
     if args.format == "json":
-        print(json.dumps({"n": e.n, "radicand": e.k, "points": _coords_json(e.k, coords)}))
+        print(json.dumps({"n": e.n, "radicand": e.k, "points": points}))
     else:
-        for x, q in coords:
-            print(f"({x}, {q} sqrt({e.k}))")
+        for p in points:
+            print(f"({p['x']}, {p['y']['coeff']} sqrt({e.k}))")
     return EXIT_OK
 
 
 def _record(m: DistanceMatrix) -> str:
     """One JSON line of a search result: its matrix and its exact points.
 
-    The points are the integers of ``embed_frame`` over their scale,
-    reduced by their gcd as a ``Fraction`` would be; no ``Fraction`` is
-    built.  No three points of a search result are collinear, so every
-    triangle, the frame's base triangle too, has the set's characteristic.
+    The points are those of ``embed``, formatted from its integer frame; no
+    ``Fraction`` is built.  No three points of a search result are
+    collinear, so every triangle, the frame's base triangle too, has the
+    set's characteristic.
     """
-    s, xs, ys, k = embed_frame(m)
+    e = embed(m)
     return json.dumps(
         {
             "n": m.n,
             "diameter": m.diameter(),
-            "characteristic": k,
+            "characteristic": e.k,
             "matrix": [list(r) for r in m.rows],
-            "points": _coords_json(k, [(_ratio(x, s), _ratio(y, s)) for x, y in zip(xs, ys)]),
+            "points": _coords_json(e),
         }
     )
 

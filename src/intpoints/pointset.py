@@ -326,43 +326,56 @@ def is_canonical(m: DistanceMatrix) -> bool:
 
 @dataclass(frozen=True)
 class EmbeddedPointSet:
-    """Exact coordinates realizing a distance matrix.
+    """Exact points in one integer frame: point ``i`` is (xs[i], ys[i]*sqrt(k))/scale.
 
-    Point ``i`` sits at ``(x, y_coeff * sqrt(k))`` where
-    ``(x, y_coeff) = points[i]`` are rationals and ``k`` is the common
-    square-free radicand (the characteristic for sets in general
-    position).  Convention: point 1 at the origin, point 2 on the
-    positive x-axis, point 3 above it.  Four of the ``points`` with
-    ``k`` go straight into ``is_concyclic_or_collinear``.
+    ``k`` is the common square-free radicand (the characteristic for sets
+    in general position).  The frame is in lowest terms, gcd(scale, *xs,
+    *ys) == 1, so ``scale`` is the least common denominator and equal point
+    sets compare equal.  ``points`` views the set as ``Fraction`` pairs
+    (x, y_coeff), and ``of_points`` builds it from such pairs.  ``embed``
+    puts point 1 at the origin, point 2 on the positive x-axis and point 3
+    above it.
     """
 
     k: int
-    points: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
+    scale: int
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"radicand must be >= 1, got {self.k}")
+        if self.scale < 1 or math.gcd(self.scale, *self.xs, *self.ys) != 1:
+            raise ValueError(f"frame over scale {self.scale} is not in lowest terms")
+
+    @classmethod
+    def of_points(cls, k: int, pairs) -> "EmbeddedPointSet":
+        """The set of the pairs ``(x, y_coeff)``, each coordinate an int or a Fraction."""
+        pairs = tuple(pairs)
+        for i, pt in enumerate(pairs):
+            for c in pt:
+                if type(c) is bool or not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coordinate {c!r} of point {i + 1} is not an int or a Fraction")
+        scale = math.lcm(*(c.denominator for pt in pairs for c in pt))
+        xs = tuple(x.numerator * (scale // x.denominator) for x, _ in pairs)
+        ys = tuple(y.numerator * (scale // y.denominator) for _, y in pairs)
+        return cls(k, scale, xs, ys)
+
+    @property
+    def n(self) -> int:
+        return len(self.xs)
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in zip(self.xs, self.ys))
+
+    def lifts(self) -> list[tuple[int, int, int]]:
+        """The lifts (X^2 + k*Y^2, X, Y) of the points, for the line/circle kernel."""
+        return [(x * x + self.k * y * y, x, y) for x, y in zip(self.xs, self.ys)]
 
 
 def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
     """Exact embedding of ``m`` in the plane, or a NotRealizable error.
-
-    The integers of ``embed_frame`` as ``Fraction``s: point j sits at
-    (X_j/s, (Y_j/s)*sqrt(k)).
-    """
-    s, xs, ys, k = embed_frame(m, allow_collinear)
-    return EmbeddedPointSet(k, tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(xs, ys)))
-
-
-def embed_frame(
-    m: DistanceMatrix, allow_collinear: bool = False
-) -> tuple[int, list[int], list[int], int]:
-    """Exact embedding of ``m`` in integers, as (s, X, Y, k), or a
-    NotRealizable error.
 
     Fixes p1 = (0,0) and p2 = (d12, 0) and works in integers scaled by
     s = 2*d12, the frame of the search's candidate index: point j with
@@ -371,8 +384,8 @@ def embed_frame(
     product of (d12, a, b).  The radicand k is the square-free part of H at
     the reference point p3; every later point's H must be k times a square,
     and the distance to p3 picks the sign of Y.  All remaining pairwise
-    distances are then checked exactly, as (s*d)^2.  A single point is
-    (1, [0], [0], 1).
+    distances are then checked exactly, as (s*d)^2, and the frame is
+    divided by gcd(s, X, Y) at the end.
 
     With ``allow_collinear`` points may land on the base line (H = 0) and
     the reference point becomes the first point off the axis; otherwise
@@ -380,7 +393,7 @@ def embed_frame(
     """
     n = m.n
     if n == 1:
-        return 1, [0], [0], 1
+        return EmbeddedPointSet(1, 1, (0,), (0,))
     d12 = m.entry(0, 1)
     s = 2 * d12
     xs = [0, s * d12]
@@ -433,25 +446,22 @@ def embed_frame(
                     f"embedded distance between points {i + 1} and {j + 1} "
                     f"does not match the matrix"
                 )
-    return s, xs, ys, k
+    g = math.gcd(s, *xs, *ys)
+    return EmbeddedPointSet(k, s // g, tuple(x // g for x in xs), tuple(y // g for y in ys))
 
 
 def distances_from_embedding(e: EmbeddedPointSet) -> DistanceMatrix:
     """Recover the integer distance matrix from exact coordinates.
 
-    Works on the lifts of the points scaled by the lcm L of their
-    denominators: a distance is the integer D exactly when the scaled
-    squared distance is (L*D)^2.  Raises CoincidentPoints for a repeated
-    point and NonIntegralDistance when some pairwise distance is not an
-    integer.
+    Works in the frame of ``e``: a distance is the integer D exactly when
+    the squared distance of the integer points, (Xi - Xj)^2 + k*(Yi - Yj)^2,
+    is (scale*D)^2.  Raises CoincidentPoints for a repeated point and
+    NonIntegralDistance when some pairwise distance is not an integer.
     """
-    n = e.n
-    lifts = _lift(e.points, e.k)
-    scale = math.lcm(*(c.denominator for pt in e.points for c in pt))
+    n, k, scale, xs, ys = e.n, e.k, e.scale, e.xs, e.ys
     rows = [[0] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        (_, xi, yi), (_, xj, yj) = lifts[i], lifts[j]
-        sq = (xi - xj) ** 2 + e.k * (yi - yj) ** 2
+        sq = (xs[i] - xs[j]) ** 2 + k * (ys[i] - ys[j]) ** 2
         if sq == 0:
             raise CoincidentPoints(i, j)
         root = math.isqrt(sq)
@@ -497,27 +507,15 @@ def _avoids(tests, point) -> bool:
     return all(a * n + b * x + c * y + e for a, b, c, e in tests)
 
 
-def _lift(points: Sequence[tuple[Fraction, Fraction]], k: int) -> list[tuple[int, int, int]]:
-    """Lifts of the points (x, q*sqrt(k)), scaled to a common denominator."""
-    scale = math.lcm(*(c.denominator for pt in points for c in pt))
-    lifts = []
-    for x, q in points:
-        sx = x.numerator * (scale // x.denominator)
-        sq = q.numerator * (scale // q.denominator)
-        lifts.append((sx * sx + k * sq * sq, sx, sq))
-    return lifts
-
-
 def is_concyclic_or_collinear(p, q, r, s, k: int = 1) -> bool:
     """True iff the four points lie on a common circle or common line.
 
     Each point is a pair ``(x, c)`` of rationals (ints or Fractions) that
     stands for ``(x, c*sqrt(k))``, the form of ``EmbeddedPointSet.points``;
-    with the default ``k = 1`` the pairs are plain rational points.
+    with the default ``k = 1`` the pairs are plain rational points.  They
+    go through ``EmbeddedPointSet.of_points``, which checks them and k.
     """
-    if k < 1:
-        raise ValueError(f"radicand must be >= 1, got {k}")
-    a, b, c, d = _lift((p, q, r, s), k)
+    a, b, c, d = EmbeddedPointSet.of_points(k, (p, q, r, s)).lifts()
     return not _avoids((_circle(a, b, c),), d)
 
 
@@ -637,7 +635,7 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
 
     if embedding is not None:
         concyclic = CheckResult(True)
-        lifts = _lift(embedding.points, embedding.k)
+        lifts = embedding.lifts()
         for quad in combinations(range(n), 4):
             a, b, c, d = (lifts[i] for i in quad)
             if _avoids((_circle(a, b, c),), d):

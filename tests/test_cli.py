@@ -109,7 +109,7 @@ class TestEmbedCommand:
         pts = tuple(
             (Fraction(p["x"]), Fraction(p["y"]["coeff"])) for p in payload["points"]
         )
-        rebuilt = EmbeddedPointSet(payload["radicand"], pts)
+        rebuilt = EmbeddedPointSet.of_points(payload["radicand"], pts)
         assert distances_from_embedding(rebuilt) == heptagon1
 
     def test_triangle(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,7 +16,6 @@ from intpoints.pointset import (
     NotRealizable,
     distances_from_embedding,
     embed,
-    embed_frame,
     is_concyclic_or_collinear,
     verify,
 )
@@ -117,6 +117,16 @@ class TestAgainstFractionOracle:
         for m in matrices:
             for allow in (False, True):
                 assert outcome(embed, m, allow) == outcome(fraction_embed, m, allow), (m.rows, allow)
+                try:
+                    e = embed(m, allow)
+                except NotRealizable:
+                    continue
+                # the frame is in lowest terms, divides the search's scale
+                # 2*d12, is rebuilt from its Fraction view and realizes m
+                assert math.gcd(e.scale, *e.xs, *e.ys) == 1
+                assert 2 * m.entry(0, 1) % e.scale == 0
+                assert EmbeddedPointSet.of_points(e.k, e.points) == e
+                assert distances_from_embedding(e) == m
 
     def test_random_matrices(self):
         rng = random.Random(22270)
@@ -156,22 +166,30 @@ class TestAgainstFractionOracle:
 
 
 class TestEmbedFrame:
-    """``embed`` is ``embed_frame``'s integers over their scale."""
+    """``embed``'s integer frame: point i at (xs[i], ys[i]*sqrt(k)) / scale."""
 
     def test_frame_realizes_the_matrix(self, heptagon1, heptagon2):
         found = list(search(SearchConfig(4, 1, 40))) + list(search(SearchConfig(5, 73, 90)))
         for m in found + [heptagon1, heptagon2]:
-            s, xs, ys, k = embed_frame(m)
-            assert s == 2 * m.entry(0, 1)
-            assert embed(m) == EmbeddedPointSet(
-                k, tuple((Fraction(x, s), Fraction(y, s)) for x, y in zip(xs, ys))
-            )
+            e = embed(m)
             for i, j in combinations(range(m.n), 2):
-                assert (xs[i] - xs[j]) ** 2 + k * (ys[i] - ys[j]) ** 2 == (s * m.entry(i, j)) ** 2
+                assert (e.xs[i] - e.xs[j]) ** 2 + e.k * (e.ys[i] - e.ys[j]) ** 2 == (e.scale * m.entry(i, j)) ** 2
+
+    def test_heptagon1_frame(self, heptagon1):
+        # the search's frame over 2*d12 = 44540, divided by its gcd 20
+        e = embed(heptagon1)
+        assert (e.k, e.scale, e.xs[3], e.ys[3]) == (2002, 2227, 32142553, 411864)
 
     def test_single_point(self):
-        assert embed_frame(DistanceMatrix([[0]])) == (1, [0], [0], 1)
+        assert embed(DistanceMatrix([[0]])) == EmbeddedPointSet(1, 1, (0,), (0,))
         assert embed(DistanceMatrix([[0]])).points == ((0, 0),)
+
+    @pytest.mark.parametrize(
+        "scale, xs, ys", [(2, (0, 2), (0, 4)), (0, (0, 1), (0, 0)), (-1, (0, 1), (0, 0))]
+    )
+    def test_frame_not_in_lowest_terms_rejected(self, scale, xs, ys):
+        with pytest.raises(ValueError, match=f"frame over scale {scale} is not in lowest terms"):
+            EmbeddedPointSet(1, scale, xs, ys)
 
 
 class TestDistancesFromEmbedding:
@@ -181,12 +199,12 @@ class TestDistancesFromEmbedding:
         assert m.entry(2, 6) == 20066
 
     def test_coincident_points(self):
-        e = EmbeddedPointSet(1, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
+        e = EmbeddedPointSet.of_points(1, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
         with pytest.raises(CoincidentPoints):
             distances_from_embedding(e)
 
     def test_non_integral_distance(self):
-        e = EmbeddedPointSet(2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))))
+        e = EmbeddedPointSet.of_points(2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))))
         with pytest.raises(NonIntegralDistance):
             distances_from_embedding(e)
 
@@ -194,7 +212,7 @@ class TestDistancesFromEmbedding:
     def test_radicand_below_one_rejected(self, k):
         # with k = -1 the two points below would be at distance 0
         with pytest.raises(ValueError, match=f"radicand must be >= 1, got {k}"):
-            EmbeddedPointSet(k, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
+            EmbeddedPointSet.of_points(k, ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))))
 
 
 class TestConcyclic:
@@ -215,6 +233,13 @@ class TestConcyclic:
         pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
         with pytest.raises(ValueError, match=f"radicand must be >= 1, got {k}"):
             is_concyclic_or_collinear(*pts, k=k)
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True], ids=["float", "str", "bool"])
+    def test_non_rational_coordinate_rejected(self, bad):
+        pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        pts[2] = (2, bad)
+        with pytest.raises(TypeError, match=f"coordinate {bad!r} of point 3 is not an int or a Fraction"):
+            is_concyclic_or_collinear(*pts)
 
     def test_heptagon_quadruples_all_clear(self, heptagon1):
         e = embed(heptagon1)
