@@ -30,15 +30,19 @@ def decimal_int(text: str) -> int:
 _TRIAL_LIMIT = 4096
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    limit = _TRIAL_LIMIT
-    sieve = bytearray([1]) * (limit + 1)
+def primes_up_to(limit: int) -> list[int]:
+    """The primes p <= ``limit``, in increasing order (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * (max(limit, 1) + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, f in enumerate(sieve) if f)
+    return [i for i, f in enumerate(sieve) if f]
+
+
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(primes_up_to(_TRIAL_LIMIT))
 
 
 # Miller-Rabin witnesses: the primes up to 41 decide every n below

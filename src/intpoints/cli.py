@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -29,7 +28,14 @@ from .pointset import (
     pointset_characteristic,  # not called here; perfbench/tracing.py wraps this name
     verify,
 )
-from .search import CharFilter, CheckpointError, SearchConfig, search
+from .search import (
+    CharFilter,
+    CheckpointError,
+    IndexTooLarge,
+    SearchConfig,
+    physical_memory,
+    search,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -156,6 +162,9 @@ def cmd_search(args) -> int:
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except IndexTooLarge as exc:  # refused before it was built
+        print(f"error: out of memory after {count} point set(s): {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except MemoryError:
         # reported once the handler has let go of the traceback, whose
         # frames hold the search's partly built candidate index
@@ -176,10 +185,7 @@ def cmd_modsearch(args) -> int:
     m = args.modulus
     # the adjacency holds m^2 bitsets of m^2 bits: refuse before allocating
     # when that alone exceeds physical memory
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # the system does not say
-        memory = None
+    memory = physical_memory()
     if m >= 2 and memory is not None and m**4 // 8 > memory:
         print(
             f"error: out of memory: the adjacency of Z_{m}^2 takes {m}^4 bits "

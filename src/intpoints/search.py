@@ -12,13 +12,20 @@ canonical form.
 
 Writing u = a + b and v = a - b turns the characteristic of (d, a, b)
 into the square-free part of (u^2 - d^2)(d^2 - v^2).  The square-free
-parts of u - d, u + d, d - v and d + v (all at most 3d) come from one
-cached table, so each half is two lookups and a gcd.  Both halves get the
-key the characteristic filter needs (kb itself for a fixed k, the part of
-kb prime to the bound for a divisor filter), and the v's are indexed by it
-as a semi-join: only keys that some u looks up are indexed, and each such
-u finds its admitted v's with one dict lookup instead of a scan of all
-(a, b) pairs.
+parts of the two halves come from one sieve per diameter over the values
+d^2 - v^2 and u^2 - d^2 themselves, with no table and no gcd: such a value
+is x*y with x and y summing or differing to 2d, so at a prime p with
+p^E || 2d it holds p^2 exactly where p divides x if E >= 1, and where p^2
+divides x or y if E = 0; higher powers go the same way, and each such
+place is a residue class of the index (``_spf_sieve``).  A fixed k sieves
+k*(u^2 - d^2), whose part is the key kb = sqf(ka*k) that a u looks up.
+Both halves get the key the characteristic filter needs (kb itself for a
+fixed k, the part of kb prime to the bound for a divisor filter), and the
+v's are indexed by it as a semi-join: only keys that some u looks up are
+indexed, and each such u finds its admitted v's with one dict lookup
+instead of a scan of all (a, b) pairs.  The admitted pairs are counted
+before any is built, and an index that would not fit in physical memory
+is refused.
 
 The clique stage takes one bucket of classes (a, b, X, S) as the index
 sorts it, closed under the reflection (a, b) -> (b, a) in the
@@ -108,43 +115,16 @@ edges is found from both, as two cliques that G does not relate.
 from __future__ import annotations
 
 import math
-from array import array
+import os
 from bisect import bisect_right
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from operator import floordiv, mul
 from typing import BinaryIO, Iterator, Optional
 
-from .arith import decimal_int, factorize, squarefree_part
+from .arith import decimal_int, factorize, primes_up_to
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
-
-# ---------------------------------------------------------------------------
-# square-free table, shared by all searches in the process
-# ---------------------------------------------------------------------------
-
-_SQF = array("q", [0, 1])
-
-
-def _spf_sieve(limit: int) -> array:
-    """Square-free part of every integer up to ``limit``, as ``table[n]``.
-
-    Builds a table of square-free parts, not of smallest prime factors.  The
-    table is a process-wide cache of machine ints, grown in place: the new
-    entries are sieved by every square i*i (the last, largest i that divides
-    n gives n's largest square divisor).
-    """
-    lo = len(_SQF)
-    if limit < lo:
-        return _SQF
-    root = array("q", [1]) * (limit + 1 - lo)  # largest i with i*i | lo + j
-    for i in range(2, math.isqrt(limit) + 1):
-        first = -lo % (i * i)
-        root[first :: i * i] = array("q", [i]) * len(range(first, len(root), i * i))
-    _SQF.extend(map(floordiv, range(lo, limit + 1), map(mul, root, root)))
-    return _SQF
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -157,6 +137,8 @@ class CharFilter:
 
     kind: str = "any"  # "any" | "fixed" | "divisor"
     value: Optional[int] = None
+    # the primes of value, in increasing order: value is factored here once
+    primes: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("any", "fixed", "divisor"):
@@ -167,8 +149,10 @@ class CharFilter:
         else:
             if self.value is None or self.value < 1:
                 raise ValueError(f"filter value must be a positive integer, got {self.value}")
-            if squarefree_part(self.value) != self.value:
+            factors = factorize(self.value)
+            if any(e > 1 for e in factors.values()):
                 raise ValueError(f"filter value {self.value} is not square-free")
+            object.__setattr__(self, "primes", tuple(sorted(factors)))
 
     @staticmethod
     def any_char() -> "CharFilter":
@@ -237,6 +221,96 @@ def enumerate_triangles(d_max: int) -> Iterator[tuple[int, int, int]]:
                 yield a, b, c
 
 
+# The bytes one admitted (u, v) pair costs the candidate index at its peak:
+# its tuple in ``pairs`` and the two entries (a, b, X, S) of its bucket,
+# with their ints, lists and list slots.  The tracemalloc peak of the
+# unfiltered index at n = 3, where every key is built, is 366 to 464 bytes
+# a pair over d = 100..1200, and 440 to 464 from d = 800 on.
+_PAIR_BYTES = 450
+
+
+class IndexTooLarge(MemoryError):
+    """A candidate index whose estimated size exceeds physical memory,
+    refused before it is built."""
+
+
+@lru_cache(maxsize=1)
+def physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None when the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _spf_sieve(d: int, k: int = 1, k_primes: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
+    """Square-free parts of the values that the candidate index of diameter
+    d keys by: of d^2 - v^2 for v = 0..d-1, and of k*(u^2 - d^2) for
+    u = d+1..2d, for a square-free k whose primes are ``k_primes``.
+
+    One sieve per diameter, by residue classes of the index, with no table
+    and no gcd: the square divisor of each value is grown by slices, and
+    each value is divided by it once at the end.  Write a value as k*x*y,
+    with x = d - v and y = d + v, or x = u - d and y = u + d, so that x and
+    y sum or differ to 2d.  At a prime p with p^E || 2d, and c = 1 when p
+    divides k (else 0), the value loses one p^2 for each i >= 1 with
+    v_p(x) + v_p(y) + c >= 2i.  Below E the two valuations are equal, and
+    when both reach E one of them is E.  So with tau = 2i - c this holds
+    exactly where p^ceil(tau/2) divides x when ceil(tau/2) <= E, and
+    otherwise where p^(tau - E) divides x or y (never both, as tau - E > E).
+    Each is a residue class of the index: v = +-d or u = +-d mod that
+    power.  As x <= d and y <= 3d, only the primes up to sqrt(3d), the
+    primes of 2d and the primes of k up to 3d divide a value more than
+    once; a larger prime of k divides no x or y.  The primes of 2d are
+    found by trial division with the primes up to sqrt(3d).
+
+    The divisors are grown, rather than the values divided in place, so
+    that the parts come out as ints made one after another.  The index
+    hashes every part, and at d = 70003 that took twice as long on parts
+    replaced piecemeal and scattered through memory.
+
+    ``perfbench/tracing.py`` wraps this function as ``search.sieve``.
+    """
+    top = 3 * d
+    v_squares, u_squares = [1] * d, [1] * d
+    small = primes_up_to(math.isqrt(top))
+    exponents: dict[int, int] = {}
+    rest = 2 * d
+    for p in small:
+        while rest % p == 0:
+            rest //= p
+            exponents[p] = exponents.get(p, 0) + 1
+    if rest > 1:  # one prime above sqrt(3d) at most
+        exponents[rest] = 1
+    # (square divisors, the index where x = 0 and where y = 0 mod any
+    # power, the primes with c = 1): index v has x = d - v and y = d + v,
+    # index u - d - 1 has x = u - d and y = u + d
+    sides = ((v_squares, d, -d, ()), (u_squares, -1, -2 * d - 1, k_primes))
+    for p in {*small, *exponents, *(q for q in k_primes if q <= top)}:
+        e = exponents.get(p, 0)
+        p2 = p * p
+        for squares, at_x, at_y, with_c in sides:
+            tau = 1 if p in with_c else 2
+            while True:
+                if (tau + 1) // 2 <= e:
+                    m = p ** ((tau + 1) // 2)
+                    starts: tuple[int, ...] = (at_x % m,)
+                else:
+                    m = p ** (tau - e)
+                    if m > top:
+                        break
+                    starts = (at_x % m, at_y % m)
+                for s in starts:
+                    squares[s::m] = [q * p2 for q in squares[s::m]]
+                tau += 2
+    # each value x*y over its square divisor, with k*x for x on the u side
+    v_xs, u_xs = range(d, 0, -1), range(k, k * d + 1, k)
+    return (
+        [x * y // q for x, y, q in zip(v_xs, range(d, 2 * d), v_squares)],
+        [x * y // q for x, y, q in zip(u_xs, range(2 * d + 1, top + 1), u_squares)],
+    )
+
+
 def _candidate_groups(
     d: int, char_filter: CharFilter, n: int = 3
 ) -> dict[int, list[tuple[int, int, int, int]]]:
@@ -250,11 +324,13 @@ def _candidate_groups(
 
     With u = a + b and v = a - b the characteristic k is the square-free
     part of ka*kb, where ka is that of u^2 - d^2 and kb that of d^2 - v^2;
-    both are read off the square-free table.  Each kb and each ka is given
-    the key of the filter, and a v and a u combine into an admitted
-    candidate exactly when their keys are equal:
+    both come from one sieve of this diameter's values (``_spf_sieve``).
+    Each kb and each ka is given the key of the filter, and a v and a u
+    combine into an admitted candidate exactly when their keys are equal:
 
-    * a fixed k keys kb itself and ka by the square-free part of ka*k;
+    * a fixed k keys kb itself and ka by the square-free part of ka*k, which
+      the sieve gives directly from the values k*(u^2 - d^2).  Every
+      admitted pair then has characteristic k, so no ka is needed;
     * a divisor bound B keys both by the rough part m // gcd(m, B).  As ka
       and kb are square-free, k = ka*kb/gcd(ka, kb)^2 holds the primes of
       exactly one of them, so k divides B exactly when ka and kb have the
@@ -263,32 +339,29 @@ def _candidate_groups(
 
     The pairing is a semi-join: only the v's whose key some u has are
     indexed, and only the u's whose key is in that index are walked, one
-    lookup each.  The admitted (u, v) pairs are grouped by k first.  A key
+    lookup each.  The admitted (u, v) pairs are counted first, one bisection
+    per u, and an index whose estimated size (``_PAIR_BYTES`` a pair)
+    exceeds physical memory raises ``IndexTooLarge`` before any pair is
+    built.  The pairs are then grouped by k.  A key
     whose pairs cannot hold an n-point set (the class count and, at n = 4,
     the one-orbit rule of the module docstring) keeps an empty bucket, so
     that the search still counts it; no entry is built for it.  At n = 3
     every key holds a set.  S is computed for the entries of the other keys
     only, as isqrt of the Heron product (u^2 - d^2)(d^2 - v^2) divided by k.
     """
-    sqf = _spf_sieve(3 * d)
     d2 = d * d
-    # square-free parts of d^2 - v^2 for v = 0..d-1 and of u^2 - d^2 for
-    # u = d+1..2d, each from the parts of its two factors
-    v_parts = [p * q // math.gcd(p, q) ** 2 for p, q in zip(sqf[d:0:-1], sqf[d : 2 * d])]
-    u_parts = [
-        p * q // math.gcd(p, q) ** 2 for p, q in zip(sqf[1 : d + 1], sqf[2 * d + 1 : 3 * d + 1])
-    ]
-    if char_filter.kind == "fixed":
-        target = char_filter.value
-        v_keys = v_parts
-        u_keys = [ka * target // math.gcd(ka, target) ** 2 for ka in u_parts]
-    elif char_filter.kind == "divisor":
-        bound = char_filter.value
-        v_keys = [kb // math.gcd(kb, bound) for kb in v_parts]
-        u_keys = [ka // math.gcd(ka, bound) for ka in u_parts]
+    fixed = char_filter.kind == "fixed"
+    if fixed:
+        v_keys, u_keys = _spf_sieve(d, char_filter.value, char_filter.primes)
     else:
-        v_keys = [1] * len(v_parts)
-        u_keys = [1] * len(u_parts)
+        v_parts, u_parts = _spf_sieve(d)
+        if char_filter.kind == "divisor":
+            bound = char_filter.value
+            v_keys = [kb // math.gcd(kb, bound) for kb in v_parts]
+            u_keys = [ka // math.gcd(ka, bound) for ka in u_parts]
+        else:
+            v_keys = [1] * d
+            u_keys = [1] * d
 
     # the looked-up v's by key, split by parity (v = a - b has the parity
     # of u = a + b)
@@ -297,13 +370,33 @@ def _candidate_groups(
     for v in [v for v, key in enumerate(v_keys) if key in wanted]:
         index.setdefault(v_keys[v], ([], []))[v & 1].append(v)
 
-    pairs: dict[int, list[tuple[int, int]]] = {}
+    # each looked-up u with its v's and the number of them admitted, those
+    # up to 2d - u (a, b <= d)
+    reach = []
     for i in [i for i, key in enumerate(u_keys) if key in index]:
-        u, ka = d + 1 + i, u_parts[i]
+        u = d + 1 + i
         vs = index[u_keys[i]][u & 1]
-        for v in vs[: bisect_right(vs, 2 * d - u)]:  # a, b <= d
-            kb = v_parts[v]
-            pairs.setdefault(ka * kb // math.gcd(ka, kb) ** 2, []).append((u, v))
+        reach.append((u, i, vs, bisect_right(vs, 2 * d - u)))
+    count = sum(cut for _, _, _, cut in reach)
+    memory = physical_memory()
+    if memory is not None and count * _PAIR_BYTES > memory:
+        raise IndexTooLarge(
+            f"the candidate index of d = {d} holds {count:,} (u, v) pairs, about "
+            f"{count * _PAIR_BYTES:,} bytes at {_PAIR_BYTES} bytes a pair, more than the "
+            f"{memory:,} bytes of physical memory"
+        )
+
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    if fixed:
+        uvs = [(u, v) for u, _, vs, cut in reach for v in vs[:cut]]
+        if uvs:
+            pairs[char_filter.value] = uvs
+    else:
+        for u, i, vs, cut in reach:
+            ka = u_parts[i]
+            for v in vs[:cut]:
+                kb = v_parts[v]
+                pairs.setdefault(ka * kb // math.gcd(ka, kb) ** 2, []).append((u, v))
 
     need = n - 2
     groups: dict[int, list[tuple[int, int, int, int]]] = {}

@@ -642,6 +642,28 @@ class TestSearchOutOfMemory:
         # the unfiltered candidate index of d = 22270 needs gigabytes
         assert_out_of_memory_exit("search", "--n", "5", "--dmin", "22270", "--dmax", "22270")
 
+    def test_index_larger_than_memory_is_refused(self, monkeypatch, capsys):
+        # with physical memory one byte short of the index of d = 70, the
+        # search gives the sets of d = 60..69 and then refuses d = 70 with
+        # its pair count, before building it; a pair (u, v) has v = a - b
+        # >= 0, so the pairs are the entries with a >= b
+        search_module = sys.modules["intpoints.search"]
+        entries = search_module._candidate_groups(70, search_module.CharFilter.any_char())
+        pairs = sum(1 for bucket in entries.values() for a, b, _, _ in bucket if a >= b)
+        assert main(["search", "--n", "4", "--dmin", "60", "--dmax", "69"]) == 0
+        before = capsys.readouterr().out
+        memory = pairs * search_module._PAIR_BYTES - 1
+        monkeypatch.setattr(search_module, "physical_memory", lambda: memory)
+        assert main(["search", "--n", "4", "--dmin", "60", "--dmax", "80"]) == 2
+        out, err = capsys.readouterr()
+        assert out == before
+        assert err == (
+            f"error: out of memory after {len(before.splitlines())} point set(s): the candidate "
+            f"index of d = 70 holds {pairs:,} (u, v) pairs, about {memory + 1:,} bytes at "
+            f"{search_module._PAIR_BYTES} bytes a pair, more than the {memory:,} bytes of "
+            "physical memory\n"
+        )
+
 
 class TestModsearchOutOfMemory:
     def test_memory_error_exits_2_without_traceback(self):

@@ -2,7 +2,6 @@ import gc
 import importlib
 import math
 import random
-from array import array
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -10,7 +9,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from intpoints.arith import factorize, squarefree_part
-from intpoints.cli import _record
+from intpoints.cli import _record, main
 from intpoints.modplane import mod_max_general_position
 from intpoints.pointset import (
     DistanceMatrix,
@@ -41,6 +40,7 @@ from .oracles import (
 
 # the package exports the function `search`, which hides the module's name
 search_module = importlib.import_module("intpoints.search")
+arith_module = importlib.import_module("intpoints.arith")
 
 
 class TestCharFilter:
@@ -149,14 +149,41 @@ class TestCandidatePoints:
 
 
 class TestCandidateIndex:
-    @pytest.mark.parametrize("steps", [(), (10, 15, 99)])
-    def test_squarefree_table(self, monkeypatch, steps):
-        # built at once, or grown in place from a small table; growing past
-        # 15 and 99 starts the new entries at the squares 16 and 100
-        monkeypatch.setattr(search_module, "_SQF", array("q", [0, 1]))
-        expected = [0] + [squarefree_part(n) for n in range(1, 5001)]
-        for limit in (*steps, 5000):
-            assert list(search_module._spf_sieve(limit)) == expected[: limit + 1]
+    @staticmethod
+    def assert_sieve_exact(d, k):
+        v_side, u_side = search_module._spf_sieve(d, k, CharFilter.fixed(k).primes)
+        assert v_side == [squarefree_part(d * d - v * v) for v in range(d)], (d, k)
+        us = range(d + 1, 2 * d + 1)
+        assert u_side == [squarefree_part(k * (u * u - d * d)) for u in us], (d, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 30, 1009, 2002, 6469693230])
+    def test_sieve_matches_squarefree_part(self, k):
+        for d in range(1, 301):
+            self.assert_sieve_exact(d, k)
+
+    @pytest.mark.parametrize("d", [2048, 2187, 6552, 19264, 22200, 22270])
+    def test_sieve_where_a_prime_square_divides_2d(self, d):
+        # 2d = 2^12, 2*3^7, 2^4*3^2*7*13, 2^7*7*43, 2^4*3*5^2*37 and
+        # 2^2*5*17*131: primes with p^E || 2d and E >= 2, some of which
+        # divide k = 30 or 2002 and some not
+        for k in (1, 30, 2002):
+            self.assert_sieve_exact(d, k)
+
+    def test_fixed_window_factorizes_k_once(self, monkeypatch, capsys):
+        # k's primes are found when the filter is made, not per diameter
+        factored = []
+        real = arith_module.factorize
+
+        def recording(n):
+            factored.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith_module, "factorize", recording)
+        monkeypatch.setattr(search_module, "factorize", recording)
+        argv = ["search", "--n", "7", "--char", "2002", "--dmin", "3000", "--dmax", "3019"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == "# 0 point set(s)\n"
+        assert sum(1 for n in factored if n % 2002 == 0) <= 1
 
     def test_filters_match_unfiltered_groups(self):
         # 191 and 1009 are primes above 3*d for every d here
