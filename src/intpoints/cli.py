@@ -183,13 +183,16 @@ def cmd_search(args) -> int:
 
 def cmd_modsearch(args) -> int:
     m = args.modulus
-    # the adjacency holds m^2 bitsets of m^2 bits: refuse before allocating
-    # when that alone exceeds physical memory
+    # the adjacency and the line masks hold m^2 bitsets of m^2 bits each,
+    # the circle masks at most m: refuse before allocating when they alone
+    # exceed physical memory
     memory = physical_memory()
-    if m >= 2 and memory is not None and m**4 // 8 > memory:
+    bits = 2 * m**4 + m**3
+    if m >= 2 and memory is not None and bits // 8 > memory:
         print(
-            f"error: out of memory: the adjacency of Z_{m}^2 takes {m}^4 bits "
-            f"({m**4 // 8 >> 30:,} GiB), more than the {memory >> 30:,} GiB of physical memory",
+            f"error: out of memory: the adjacency, line and circle masks of Z_{m}^2 take "
+            f"2*{m}^4 + {m}^3 bits ({bits // 8:,} bytes), more than the "
+            f"{memory:,} bytes of physical memory",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -201,7 +204,7 @@ def cmd_modsearch(args) -> int:
     except MemoryError:
         result = None  # reported once the traceback has let go of the bitsets
     if result is None:
-        print(f"error: out of memory searching Z_{m}^2 ({m}^4 adjacency bits)", file=sys.stderr)
+        print(f"error: out of memory searching Z_{m}^2 (2*{m}^4 + {m}^3 mask bits)", file=sys.stderr)
         return EXIT_USAGE
     bound = "=" if result.exact else ">="
     print(f"max_general_position(modulus={m}) {bound} {result.size}")

@@ -11,7 +11,11 @@ and takes its second and its third point one per orbit of the set
 stabilizer of {(0, 0), a}, a the last chosen point: the elements of the
 latter that fix a and the maps x -> a - g*x.  For the second point that
 group is the stabilizer of (0, 0) itself.  The descent argument is in
-``mod_max_general_position``.
+``mod_max_general_position``.  Every candidate the search holds can join
+the chosen points: taking a point removes from its child, by translated
+point masks, the points on a line through it and a chosen point and those
+on a circle that it fills to three chosen points, so the best-so-far
+bound counts only admissible points and nothing is tested when taken.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ class ModContext:
     ``_offsets`` lists once the triples (a, b, v) with v = a^2 + b^2 mod n
     in ``radius_squares``: a point p lies on the circle with centre
     p + (a, b) and squared radius v, and on no other.  Only the search needs
-    the incidence structures: ``line_masks`` is built on each call, once
-    per search, and ``circles_through`` translates the offsets to a point
-    and caches the result, because the search asks for it at every
-    admission.
+    the incidence structures, as point masks over Z_n^2 (bit x*n + y for
+    (x, y)) that ``translate`` moves: ``line_masks`` and ``circle_masks``
+    are built on each call, once per search, and ``circles_through``
+    translates the offsets to a point and caches the result, because the
+    search asks for it at every admission.
     """
 
     def __init__(self, n: int):
@@ -51,32 +56,64 @@ class ModContext:
             if (a * a + b * b) % n in self.radius_squares
         ]
         self._circles_through: dict[int, list[int]] = {}
+        # _keep[y] holds the columns below n - y of every row, which a shift
+        # by y moves up within the row; the others wrap round to its start
+        self._full = (1 << n * n) - 1
+        rows = self._full // ((1 << n) - 1)
+        self._keep = [((1 << n - y) - 1) * rows for y in range(n)]
+        self._wrap = [self._full ^ keep for keep in self._keep]
 
     def reduce(self, p: ModPoint) -> ModPoint:
         return (p[0] % self.n, p[1] % self.n)
 
     # -- incidence structures for the search -------------------------------
 
-    def line_masks(self) -> list[int]:
-        """For each difference vector, a bitmask of the cyclic subgroups
-        of Z_n^2 containing it.
+    def translate(self, mask: int, idx: int) -> int:
+        """The point mask ``mask`` moved by the point idx = x*n + y: a
+        shift of the columns by y within each row, then a rotation of the
+        rows by x."""
+        n = self.n
+        x, y = divmod(idx, n)
+        moved = (mask & self._keep[y]) << y | (mask & self._wrap[y]) >> n - y
+        return (moved << x * n | moved >> (n - x) * n) & self._full
 
-        Three distinct points p, q, r are collinear exactly when q - p and
-        r - p lie in one common single-generator subgroup (the direction of
-        the parametric line through p).
+    def line_masks(self) -> list[int]:
+        """For each difference d, the point mask U(d) of the union of the
+        cyclic subgroups of Z_n^2 that hold d.
+
+        A line is a coset of a cyclic subgroup <t> (the parametric line
+        {(a + w*t1, b + w*t2)}), and <t> holds d exactly when it holds -d.
+        So three points p, c, r are collinear exactly when r - c is in
+        U(c - p).  Each subgroup is built once, from its least generator:
+        its other generators are w*t for the units w of Z_n, as every unit
+        modulo the order of t lifts to one modulo n.
         """
         n = self.n
-        subgroups: dict[frozenset[int], int] = {}
-        for t1 in range(n):
-            for t2 in range(n):
-                members = frozenset((w * t1 % n) * n + (w * t2 % n) for w in range(n))
-                if members not in subgroups:
-                    subgroups[members] = len(subgroups)
+        units = [w for w in range(1, n) if gcd(w, n) == 1]
         masks = [0] * (n * n)
-        for members, idx in subgroups.items():
-            bit = 1 << idx
-            for delta in members:
-                masks[delta] |= bit
+        built = bytearray(n * n)
+        for t in range(1, n * n):
+            if built[t]:
+                continue
+            t1, t2 = divmod(t, n)
+            members, u1, u2 = [0], t1, t2  # members[w] is w*t
+            while u1 or u2:
+                members.append(u1 * n + u2)
+                u1, u2 = (u1 + t1) % n, (u2 + t2) % n
+            for w in units:
+                built[members[w % len(members)]] = 1
+            mask = sum(1 << i for i in members)
+            for i in members:
+                masks[i] |= mask
+        return masks
+
+    def circle_masks(self) -> list[int]:
+        """For each squared radius v, the point mask of the circle with
+        centre (0, 0) and squared radius v, 0 where v is no admissible
+        radius.  The circle with centre q is this mask translated by q."""
+        masks = [0] * self.n
+        for a, b, v in self._offsets:
+            masks[v] |= 1 << a * self.n + b
         return masks
 
     def circles_through(self, idx: int) -> list[int]:
@@ -210,12 +247,19 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     """Maximum number of points of Z_n^2 at pairwise integral distances
     with no three collinear and no four on a circle, plus a witness.
 
-    Backtracking clique search over the integral-distance graph with
-    incremental line and circle constraints and a best-so-far bound
-    (Carraghan and Pardalos 1990).  The first point is (0,0).  The second
-    and the third point run over the least point of each orbit of the set
-    stabilizer H of {(0,0), a}, where a is the last chosen point (McKay
-    1998).  Its elements are the g in the stabilizer G of (0,0)
+    Backtracking clique search over the integral-distance graph with a
+    best-so-far bound (Carraghan and Pardalos 1990) that counts only
+    admissible points.  When a point c is taken, its child keeps the later
+    candidates adjacent to c, less the points on a line through c and a
+    chosen point (``line_masks``, translated to c) and those on a circle
+    that c fills to three chosen points (``circle_masks``, translated to
+    the centre, when the circle's count reaches 3).  So every candidate on
+    the stack can join the chosen points, and no test runs when one is
+    taken.
+
+    The first point is (0,0).  The second and the third point run over
+    the least point of each orbit of the set stabilizer H of {(0,0), a},
+    where a is the last chosen point (McKay 1998).  Its elements are the g in the stabilizer G of (0,0)
     (``stabilizer``) with g*a = a (``point_stabilizer``) and the maps
     x -> a - g*x (``pair_orbit``).  For the second point a is (0,0) and H
     is G, as x -> -g*x lies in G (-1 is a unit).  Taking a point drops its
@@ -233,8 +277,10 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     holding y.  A point z < y taken before y drops only its H-orbit, and a
     point of a member S of E_y in it would map, by an element h of H, to
     z: h*S is in E and holds z < y.  So each member of E_y is intact when
-    y is taken, and its other points are in y's child.  G maps F into
-    itself, so the step with E = F gives a second point c and F_c.  The
+    y is taken, and its other points are in y's child, which drops no
+    point of a general-position set holding the chosen points and y.  G
+    maps F into itself, so the step with E = F gives a second point c and
+    F_c.  The
     set stabilizer of {(0,0), c} maps F_c into itself: for g in G with
     g*c = c and S in F_c, g*S and c - g*S = (-g)*(S - c) are in F and hold
     c, so they are in F_c.  So the step applies to the third point too,
@@ -242,7 +288,7 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     dropped only when its chosen and remaining points cannot beat the best
     set.
 
-    A node is the root and each admitted set after it; when
+    A node is the root and each set taken after it; when
     ``node_budget`` nodes are exhausted the best set found so far is
     returned flagged as a lower bound (``exact=False``); a negative budget
     raises ``ValueError``.
@@ -253,21 +299,19 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     total = n * n  # point i is (i // n, i % n)
 
     # Translation invariance: two points are adjacent exactly when their
-    # difference is one of `near`.  Column v holds the neighbours of (0, v),
-    # and those of (u, v) are them rotated by u rows.
-    near = [
-        (du, dv)
+    # difference is in `near`, and the neighbours of a point are `near`
+    # translated to it.
+    near = sum(
+        1 << du * n + dv
         for du in range(n)
         for dv in range(n)
         if (du or dv) and (du * du + dv * dv) % n in ctx.squares
-    ]
-    column = [sum(1 << (du * n + (v + dv) % n) for du, dv in near) for v in range(n)]
-    full = (1 << total) - 1
-    adj = [
-        (column[v] << u * n | column[v] >> total - u * n) & full for u in range(n) for v in range(n)
-    ]
+    )
+    translate = ctx.translate
+    adj = [translate(near, i) for i in range(total)]
 
     line_masks = ctx.line_masks()
+    circle_masks = ctx.circle_masks()
     # groups[i] holds the elements of the stabilizer of (0, 0) that fix
     # chosen[i], for the level below it: (0, 0) and then the second point,
     # whose entry is set when that point is taken
@@ -282,11 +326,11 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     exhausted = node_budget is not None and nodes > node_budget
 
     # Depth-first over an explicit stack: stack[i] holds the candidates
-    # left below chosen[:i + 1], and its lowest index is taken next.  A
-    # level is dropped once its chosen and remaining points cannot beat
-    # the best set.  Taking the second or the third point c drops c's
-    # whole orbit (pair_orbit) from its level; c's child keeps the later
-    # members.
+    # left below chosen[:i + 1], each of which can join them, and its lowest
+    # index is taken next.  A level is dropped once its chosen and remaining
+    # points cannot beat the best set.  Taking the second or the third
+    # point c drops c's whole orbit (pair_orbit) from its level; c's child
+    # keeps the later members.
     stack = [] if exhausted else [adj[0]]
     while stack:
         rest = stack[-1]
@@ -302,27 +346,26 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
             stack[-1] = rest ^ low
         else:
             stack[-1] = rest & ~pair_orbit(groups[depth - 1], n, chosen[-1], c)
-        # c lies on a line with chosen p and q exactly when some cyclic
-        # subgroup holds both c - p and c - q.
-        seen = shared = 0
-        for p in chosen:
-            mask = line_masks[(c // n - p // n) % n * n + (c - p) % n]
-            shared |= seen & mask
-            seen |= mask
-        if shared or any(count[key] > 2 for key in circles(c)):
-            continue
-        chosen.append(c)
-        for key in circles(c):
-            count[key] += 1
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             exhausted = True
             break
+        # c's child loses the points on a line through c and a chosen
+        # point, and those on a circle that c fills to three chosen points
+        lines = 0
+        for p in chosen:
+            lines |= line_masks[(c // n - p // n) % n * n + (c - p) % n]
+        blocked = translate(lines, c)
+        chosen.append(c)
+        for key in circles(c):
+            count[key] += 1
+            if count[key] == 3:
+                blocked |= translate(circle_masks[key % n], key // n)
         if len(chosen) > len(best):
             best = tuple(chosen)
         if depth == 1:
             groups[1:] = [point_stabilizer(groups[0], n, c)]
-        stack.append((rest ^ low) & adj[c])
+        stack.append((rest ^ low) & adj[c] & ~blocked)
 
     witness = tuple(divmod(i, n) for i in best)
     return ModSearchResult(len(best), witness, not exhausted, nodes)

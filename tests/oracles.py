@@ -8,7 +8,7 @@ package; only the ``DistanceMatrix`` container is imported.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import isqrt
+from math import gcd, isqrt
 
 from sympy import factorint, isprime
 
@@ -284,6 +284,119 @@ def brute_force_mod_max(n: int, rooted: bool = True) -> tuple[int, tuple]:
     else:
         dfs([], 0)
     return best[0], tuple(sorted(best[1]))
+
+
+def literal_pruned_mod_max(n: int) -> tuple[int, tuple, int]:
+    """(size, witness, nodes) of ``mod_max_general_position(n)``'s search,
+    with its point masks replaced by the literal definitions.
+
+    The same depth-first order over the points sorted as (x, y), the same
+    best-so-far bound, and the same orbit rule at the second and the third
+    point: a taken point drops its orbit under the set stabilizer of
+    {(0, 0), a}, a the last chosen point, from its level.  That group is
+    closed here from the generators of the stabilizer of (0, 0) (swap,
+    negation of x, unit scalings, rotations of determinant 1), and orbits
+    are point sets.  A taken point c keeps in its child the later
+    candidates r at integral distance from c, with no chosen p such that
+    c - p and r - p lie in one subgroup {w*t} (p, c, r collinear) and no
+    chosen p, q such that some centre puts p, q, c, r at one squared
+    distance r0^2 with r0 != 0.  Results are cached on the differences of
+    the points, which the definitions read alone.  Equal node counts with
+    the search mean equal children.
+    """
+    squares = {(d * d) % n for d in range(n)}
+    r_sq = {(r * r) % n for r in range(1, n)}
+    collinear: dict = {}
+    concyclic: dict = {}
+
+    def integral(p, q):
+        return ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) % n in squares
+
+    def diffs(base, pts):
+        return tuple(((u - base[0]) % n, (v - base[1]) % n) for u, v in pts)
+
+    def on_line(key):
+        return any(
+            all(any((w * t1 - du) % n == 0 and (w * t2 - dv) % n == 0 for w in range(n))
+                for du, dv in key)
+            for t1 in range(n)
+            for t2 in range(n)
+        )
+
+    def on_circle(key):
+        # key holds the other three points less the first, which is (0, 0)
+        return any(
+            len(vals := {((u - a) ** 2 + (v - b) ** 2) % n for u, v in ((0, 0),) + key}) == 1
+            and vals.pop() in r_sq
+            for a in range(n)
+            for b in range(n)
+        )
+
+    def admissible(chosen, c, r):
+        if not integral(c, r):
+            return False
+        for p in chosen:
+            key = diffs(p, (c, r))
+            if key not in collinear:
+                collinear[key] = on_line(key)
+            if collinear[key]:
+                return False
+        for p, q in combinations(chosen, 2):
+            key = diffs(p, (q, c, r))
+            if key not in concyclic:
+                concyclic[key] = on_circle(key)
+            if concyclic[key]:
+                return False
+        return True
+
+    def act(g, p):
+        return ((g[0] * p[0] + g[1] * p[1]) % n, (g[2] * p[0] + g[3] * p[1]) % n)
+
+    units = [w for w in range(1, n) if gcd(w, n) == 1]
+    gens = [(0, 1, 1, 0), (n - 1, 0, 0, 1)] + [(w, 0, 0, w) for w in units] + [
+        (a, -b % n, b, a) for a in range(n) for b in range(n) if (a * a + b * b) % n == 1
+    ]
+    group, todo = set(gens), list(gens)
+    while todo:
+        g = todo.pop()
+        for h in gens:
+            gh = tuple(
+                (g[2 * i] * h[j] + g[2 * i + 1] * h[2 + j]) % n for i in range(2) for j in range(2)
+            )
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+
+    def orbit(a, p):
+        # the points g*p and a - g*p for the elements g that fix a
+        out = set()
+        for g in group:
+            if act(g, a) == a:
+                u, v = act(g, p)
+                out |= {(u, v), ((a[0] - u) % n, (a[1] - v) % n)}
+        return out
+
+    origin = (0, 0)
+    best = [(origin,)]
+    nodes = [1]
+
+    def level(chosen, cands):
+        while len(chosen) + len(cands) > len(best[0]):
+            c, later = cands[0], cands[1:]
+            if len(chosen) <= 2:
+                dropped = orbit(chosen[-1], c)
+                cands = [r for r in cands if r not in dropped]
+            else:
+                cands = later
+            nodes[0] += 1
+            taken = chosen + [c]
+            if len(taken) > len(best[0]):
+                best[0] = tuple(taken)
+            level(taken, [r for r in later if admissible(chosen, c, r)])
+
+    points = [(u, v) for u in range(n) for v in range(n)]
+    level([origin], [r for r in points[1:] if integral(origin, r)])
+    return len(best[0]), best[0], nodes[0]
 
 
 def cross_ratio_concyclic_or_collinear(pts, k: int = 1) -> bool:

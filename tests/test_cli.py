@@ -667,10 +667,24 @@ class TestSearchOutOfMemory:
 
 class TestModsearchOutOfMemory:
     def test_memory_error_exits_2_without_traceback(self):
-        # the adjacency bitsets of Z_5000^2 take 5000^4 bits, 72 759 GiB:
-        # refused by that estimate before anything is allocated
+        # the adjacency and line masks of Z_5000^2 take 5000^4 bits each and
+        # the circle masks 5000^3, about 146 TiB in all: refused by that
+        # estimate before anything is allocated
         line = assert_out_of_memory_exit("modsearch", "--modulus", "5000")
-        assert "5000^4 bits (72,759 GiB)" in line
+        assert "2*5000^4 + 5000^3 bits (156,265,625,000,000 bytes)" in line
+
+    def test_line_masks_count(self, monkeypatch, capsys):
+        # memory that holds the adjacency of Z_12^2 alone, 2 592 bytes, is
+        # refused, as the line masks take as much again
+        memory = 12**4 // 8
+        monkeypatch.setattr(sys.modules["intpoints.cli"], "physical_memory", lambda: memory)
+        assert main(["modsearch", "--modulus", "12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: out of memory: the adjacency, line and circle masks of Z_12^2 take "
+            "2*12^4 + 12^3 bits (5,400 bytes), more than the 2,592 bytes of physical memory\n"
+        )
 
 
 class TestModuleEntry:

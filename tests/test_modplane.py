@@ -18,7 +18,7 @@ from intpoints.modplane import (
     stabilizer,
 )
 
-from .oracles import brute_force_mod_max
+from .oracles import brute_force_mod_max, literal_pruned_mod_max
 
 
 # (modulus, node budget, size, exact, nodes, witness).  The search order
@@ -27,31 +27,33 @@ PINNED = [
     (2, None, 4, True, 4, ((0, 0), (0, 1), (1, 0), (1, 1))),
     (3, None, 2, True, 2, ((0, 0), (0, 1))),
     (4, None, 4, True, 4, ((0, 0), (0, 1), (2, 0), (2, 1))),
-    (5, None, 4, True, 8, ((0, 0), (0, 1), (1, 3), (4, 3))),
-    (6, None, 4, True, 12, ((0, 0), (0, 1), (3, 0), (3, 1))),
+    (5, None, 4, True, 6, ((0, 0), (0, 1), (1, 3), (4, 3))),
+    (6, None, 4, True, 11, ((0, 0), (0, 1), (3, 0), (3, 1))),
     (7, None, 3, True, 4, ((0, 0), (0, 1), (1, 0))),
-    (8, None, 4, True, 40, ((0, 0), (0, 1), (4, 0), (4, 1))),
-    (9, None, 5, True, 43, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
-    (10, None, 6, True, 240, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
-    (11, None, 4, True, 11, ((0, 0), (0, 1), (1, 6), (3, 6))),
-    (12, None, 4, True, 38, ((0, 0), (0, 1), (6, 0), (6, 1))),
-    (13, None, 6, True, 93, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
-    (14, None, 6, True, 139, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
-    (15, None, 4, True, 24, ((0, 0), (0, 1), (3, 0), (3, 11))),
-    # past the benchmark's moduli; m = 18, about 13 s, is solved in CI
-    (16, None, 6, True, 2470, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
-    (17, None, 6, True, 548, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
-    (19, None, 5, True, 192, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
-    (20, None, 6, True, 2349, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
-    (21, None, 4, True, 14, ((0, 0), (0, 1), (3, 4), (18, 11))),
-    (22, None, 8, True, 2440, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
-    (23, None, 5, True, 794, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
-    (30, None, 6, True, 6298, ((0, 0), (0, 1), (3, 0), (12, 5), (15, 4), (15, 5))),
+    (8, None, 4, True, 35, ((0, 0), (0, 1), (4, 0), (4, 1))),
+    (9, None, 5, True, 33, ((0, 0), (0, 1), (3, 0), (3, 4), (6, 3))),
+    (10, None, 6, True, 124, ((0, 0), (0, 1), (1, 3), (1, 8), (2, 0), (2, 1))),
+    (11, None, 4, True, 10, ((0, 0), (0, 1), (1, 6), (3, 6))),
+    (12, None, 4, True, 37, ((0, 0), (0, 1), (6, 0), (6, 1))),
+    (13, None, 6, True, 58, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
+    (14, None, 6, True, 83, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (15, None, 4, True, 22, ((0, 0), (0, 1), (3, 0), (3, 11))),
+    # past the benchmark's moduli; m = 18 takes about 2 s
+    (16, None, 6, True, 1701, ((0, 0), (0, 1), (4, 0), (4, 1), (8, 4), (8, 5))),
+    (17, None, 6, True, 323, ((0, 0), (0, 1), (1, 0), (1, 13), (6, 8), (13, 14))),
+    (18, None, 10, True, 47053,
+     ((0, 0), (0, 1), (3, 0), (3, 5), (6, 1), (6, 6), (9, 5), (9, 6), (12, 7), (15, 11))),
+    (19, None, 5, True, 150, ((0, 0), (0, 1), (1, 5), (6, 12), (14, 10))),
+    (20, None, 6, True, 1440, ((0, 0), (0, 1), (2, 0), (2, 1), (10, 10), (10, 11))),
+    (21, None, 4, True, 11, ((0, 0), (0, 1), (3, 4), (18, 11))),
+    (22, None, 8, True, 997, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
+    (23, None, 5, True, 577, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
+    (30, None, 6, True, 4040, ((0, 0), (0, 1), (3, 0), (12, 5), (15, 4), (15, 5))),
     (11, 5, 4, False, 6, ((0, 0), (0, 1), (1, 6), (3, 6))),
     (13, 0, 1, False, 1, ((0, 0),)),
     (13, 1, 1, False, 2, ((0, 0),)),
     (13, 50, 6, False, 51, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
-    (14, 100, 6, False, 101, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (14, 100, 6, True, 83, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
 ]
 
 
@@ -180,7 +182,8 @@ class TestCollinear:
         assert mod_is_collinear(moved, ctx) == base
 
     def test_agrees_with_line_masks(self):
-        # the search's subgroup-membership structure matches the literal test
+        # the search's point masks: r - c is in U(c - p), that is r is in
+        # U(c - p) translated by c, exactly when p, c, r are collinear
         rng = random.Random(50)
         for n in (4, 5, 6, 8, 9):
             ctx = ModContext(n)
@@ -190,9 +193,8 @@ class TestCollinear:
                 if len(set(pts)) != 3:
                     continue
                 (u1, v1), (u2, v2), (u3, v3) = pts
-                d2 = ((u2 - u1) % n) * n + (v2 - v1) % n
-                d3 = ((u3 - u1) % n) * n + (v3 - v1) % n
-                fast = bool(masks[d2] & masks[d3])
+                through = ctx.translate(masks[(u2 - u1) % n * n + (v2 - v1) % n], u2 * n + v2)
+                fast = bool(through >> u3 * n + v3 & 1)
                 assert fast == mod_is_collinear(pts, ctx), (n, pts)
 
 
@@ -237,6 +239,29 @@ class TestOnCircle:
                     ]
                     keys = ctx.circles_through(x * n + y)
                     assert sorted(keys) == sorted(scanned), (n, x, y)
+
+    def test_agrees_with_circle_masks(self):
+        # the search's point masks: r is on a circle through p, q and c
+        # exactly when some key through all three has r in its base
+        # circle's mask translated to the centre
+        rng = random.Random(51)
+        seen = set()
+        for n in (4, 5, 6, 8, 9):
+            ctx = ModContext(n)
+            masks = ctx.circle_masks()
+            for _ in range(120):
+                pts = [(rng.randrange(n), rng.randrange(n)) for _ in range(4)]
+                if len(set(pts)) != 4:
+                    continue
+                p, q, c, r = [u * n + v for u, v in pts]
+                keys = set(ctx.circles_through(p)) & set(ctx.circles_through(q))
+                fast = any(
+                    ctx.translate(masks[key % n], key // n) >> r & 1
+                    for key in keys.intersection(ctx.circles_through(c))
+                )
+                assert fast == mod_on_circle(*pts, ctx), (n, pts)
+                seen.add(fast)
+        assert seen == {False, True}
 
     @given(
         n=st.integers(min_value=2, max_value=8),
@@ -403,6 +428,13 @@ class TestMaxGeneralPosition:
         result = mod_max_general_position(11)
         assert result.exact
         assert result.size == brute_force_mod_max(11)[0]
+
+    def test_matches_literal_pruned_oracle(self):
+        # the same search with the masks replaced by the literal predicates:
+        # equal node counts mean every child is the same set
+        for n in range(2, 16):
+            result = mod_max_general_position(n)
+            assert (result.size, result.witness, result.nodes) == literal_pruned_mod_max(n), n
 
     def test_rooted_oracle_matches_unrooted(self):
         # the oracle fixes its first point at (0, 0), by translation
