@@ -185,7 +185,8 @@ def cmd_modsearch(args) -> int:
     m = args.modulus
     # the adjacency and the line masks hold m^2 bitsets of m^2 bits each,
     # the circle masks at most m: refuse before allocating when they alone
-    # exceed physical memory
+    # exceed physical memory; the circle planes, at most 2m such bitsets
+    # per stack level, are left out (the stack is as deep as the chosen set)
     memory = physical_memory()
     bits = 2 * m**4 + m**3
     if m >= 2 and memory is not None and bits // 8 > memory:

@@ -14,8 +14,9 @@ group is the stabilizer of (0, 0) itself.  The descent argument is in
 ``mod_max_general_position``.  Every candidate the search holds can join
 the chosen points: taking a point removes from its child, by translated
 point masks, the points on a line through it and a chosen point and those
-on a circle that it fills to three chosen points, so the best-so-far
-bound counts only admissible points and nothing is tested when taken.
+on a circle that it fills to three chosen points, found by its centre in
+a bitplane per squared radius, so the best-so-far bound counts only
+admissible points and nothing is tested when taken.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ class ModContext:
     ``squares`` is the full set of squares in Z_n (distance values admitted
     by the integral-distance test); ``radius_squares`` the values r^2 for
     r != 0 (admissible squared circle radii, may contain 0 for composite n).
-    ``_offsets`` lists once the triples (a, b, v) with v = a^2 + b^2 mod n
-    in ``radius_squares``: a point p lies on the circle with centre
-    p + (a, b) and squared radius v, and on no other.  Only the search needs
-    the incidence structures, as point masks over Z_n^2 (bit x*n + y for
-    (x, y)) that ``translate`` moves: ``line_masks`` and ``circle_masks``
-    are built on each call, once per search, and ``circles_through``
-    translates the offsets to a point and caches the result, because the
-    search asks for it at every admission.
+    Only the search needs the incidence structures, as point masks over
+    Z_n^2 (bit x*n + y for (x, y)) that ``translate`` moves:
+    ``line_masks`` and ``circle_masks`` are built on each call, once per
+    search, and nothing is cached.
     """
 
     def __init__(self, n: int):
@@ -49,13 +46,6 @@ class ModContext:
         self.n = n
         self.squares = frozenset((d * d) % n for d in range(n))
         self.radius_squares = frozenset((r * r) % n for r in range(1, n))
-        self._offsets = [
-            (a, b, (a * a + b * b) % n)
-            for a in range(n)
-            for b in range(n)
-            if (a * a + b * b) % n in self.radius_squares
-        ]
-        self._circles_through: dict[int, list[int]] = {}
         # _keep[y] holds the columns below n - y of every row, which a shift
         # by y moves up within the row; the others wrap round to its start
         self._full = (1 << n * n) - 1
@@ -108,24 +98,19 @@ class ModContext:
         return masks
 
     def circle_masks(self) -> list[int]:
-        """For each squared radius v, the point mask of the circle with
+        """For each squared radius v, the point mask C[v] of the circle with
         centre (0, 0) and squared radius v, 0 where v is no admissible
-        radius.  The circle with centre q is this mask translated by q."""
-        masks = [0] * self.n
-        for a, b, v in self._offsets:
-            masks[v] |= 1 << a * self.n + b
-        return masks
-
-    def circles_through(self, idx: int) -> list[int]:
-        """Encoded (center, squared-radius) keys of circles through a point."""
-        cached = self._circles_through.get(idx)
-        if cached is not None:
-            return cached
+        radius.  The circle with centre q is C[v] translated by q; as
+        C[v] = -C[v], C[v] translated by p holds the centres of those
+        through p."""
         n = self.n
-        x, y = divmod(idx, n)
-        out = [((x + a) % n * n + (y + b) % n) * n + v for a, b, v in self._offsets]
-        self._circles_through[idx] = out
-        return out
+        masks = [0] * n
+        for a in range(n):
+            for b in range(n):
+                v = (a * a + b * b) % n
+                if v in self.radius_squares:
+                    masks[v] |= 1 << a * n + b
+        return masks
 
 
 def mod_integral_distance(p: ModPoint, q: ModPoint, ctx: ModContext) -> bool:
@@ -253,9 +238,14 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     candidates adjacent to c, less the points on a line through c and a
     chosen point (``line_masks``, translated to c) and those on a circle
     that c fills to three chosen points (``circle_masks``, translated to
-    the centre, when the circle's count reaches 3).  So every candidate on
-    the stack can join the chosen points, and no test runs when one is
-    taken.
+    the centre).  So every candidate on the stack can join the chosen
+    points, and no test runs when one is taken.
+
+    Circles are tracked by centre: the radius-v circles through c have
+    their centres in C[v] translated by c (the hits), and each level keeps
+    per v the centres of the circles with at least one and at least two
+    chosen points.  c fills to three the hits among the latter.  No circle
+    gets a fourth point, as its points leave the child at three.
 
     The first point is (0,0).  The second and the third point run over
     the least point of each orbit of the set stabilizer H of {(0,0), a},
@@ -311,33 +301,32 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     adj = [translate(near, i) for i in range(total)]
 
     line_masks = ctx.line_masks()
-    circle_masks = ctx.circle_masks()
+    circle_masks = [mask for mask in ctx.circle_masks() if mask]
     # groups[i] holds the elements of the stabilizer of (0, 0) that fix
     # chosen[i], for the level below it: (0, 0) and then the second point,
     # whose entry is set when that point is taken
     groups = [stabilizer(n)]
-    circles = ctx.circles_through
-    count = [0] * (total * n)  # chosen points on each circle, by circle key
 
     # The root fixes (0,0): any nonempty set translates onto it.
     chosen, best, nodes = [0], (0,), 1
-    for key in circles(0):
-        count[key] += 1
     exhausted = node_budget is not None and nodes > node_budget
 
     # Depth-first over an explicit stack: stack[i] holds the candidates
     # left below chosen[:i + 1], each of which can join them, and its lowest
-    # index is taken next.  A level is dropped once its chosen and remaining
+    # index is taken next.  planes[i] holds, for each squared radius, the
+    # centres of the circles that hold at least one and at least two of
+    # chosen[:i + 1].  A level is dropped once its chosen and remaining
     # points cannot beat the best set.  Taking the second or the third
     # point c drops c's whole orbit (pair_orbit) from its level; c's child
     # keeps the later members.
     stack = [] if exhausted else [adj[0]]
+    planes = [(circle_masks, [0] * len(circle_masks))]
     while stack:
         rest = stack[-1]
         if len(chosen) + rest.bit_count() <= len(best):
             stack.pop()
-            for key in circles(chosen.pop()):
-                count[key] -= 1
+            chosen.pop()
+            planes.pop()
             continue
         low = rest & -rest
         c = low.bit_length() - 1
@@ -356,11 +345,18 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
         for p in chosen:
             lines |= line_masks[(c // n - p // n) % n * n + (c - p) % n]
         blocked = translate(lines, c)
+        ones, twos = [], []
+        for base, one, two in zip(circle_masks, *planes[-1]):
+            hits = translate(base, c)  # the centres of the circles through c
+            full = two & hits
+            while full:
+                centre = full & -full
+                blocked |= translate(base, centre.bit_length() - 1)
+                full ^= centre
+            ones.append(one | hits)
+            twos.append(two | one & hits)
+        planes.append((ones, twos))
         chosen.append(c)
-        for key in circles(c):
-            count[key] += 1
-            if count[key] == 3:
-                blocked |= translate(circle_masks[key % n], key // n)
         if len(chosen) > len(best):
             best = tuple(chosen)
         if depth == 1:

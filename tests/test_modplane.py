@@ -48,12 +48,21 @@ PINNED = [
     (21, None, 4, True, 11, ((0, 0), (0, 1), (3, 4), (18, 11))),
     (22, None, 8, True, 997, ((0, 0), (0, 1), (1, 6), (1, 17), (2, 0), (2, 1), (10, 6), (14, 17))),
     (23, None, 5, True, 577, ((0, 0), (0, 1), (1, 0), (1, 10), (3, 20))),
+    (24, None, 6, True, 306, ((0, 0), (0, 2), (6, 0), (6, 4), (12, 10), (12, 20))),
+    (28, None, 6, True, 813, ((0, 0), (0, 1), (4, 4), (10, 4), (14, 1), (14, 18))),
+    (29, None, 8, True, 12867,
+     ((0, 0), (0, 1), (1, 9), (1, 12), (10, 26), (14, 20), (22, 26), (23, 9))),
     (30, None, 6, True, 4040, ((0, 0), (0, 1), (3, 0), (12, 5), (15, 4), (15, 5))),
+    (31, None, 6, True, 6090, ((0, 0), (0, 1), (1, 0), (1, 2), (4, 3), (10, 1))),
+    (33, None, 4, True, 87, ((0, 0), (0, 1), (3, 5), (3, 6))),
+    (35, None, 5, True, 354, ((0, 0), (0, 1), (1, 8), (4, 18), (15, 28))),
     (11, 5, 4, False, 6, ((0, 0), (0, 1), (1, 6), (3, 6))),
     (13, 0, 1, False, 1, ((0, 0),)),
     (13, 1, 1, False, 2, ((0, 0),)),
     (13, 50, 6, False, 51, ((0, 0), (0, 1), (1, 4), (1, 5), (6, 5), (8, 0))),
     (14, 100, 6, True, 83, ((0, 0), (0, 1), (1, 7), (6, 7), (7, 0), (7, 13))),
+    (50, 2000, 10, False, 2001,
+     ((0, 0), (0, 1), (2, 11), (3, 21), (5, 6), (5, 11), (8, 31), (10, 6), (20, 16), (25, 16))),
 ]
 
 
@@ -226,24 +235,28 @@ class TestOnCircle:
         assert mod_on_circle(*quad, ctx) == expected
 
     def test_circles_through_are_the_scanned_circles(self):
-        # the search's translated offsets against a scan of every centre
+        # C[v] translated by p against a scan of every centre: the centres
+        # of the radius-v circles through p
         for n in range(2, 13):
             ctx = ModContext(n)
+            masks = ctx.circle_masks()
+            for v in range(n):
+                assert (masks[v] != 0) == (v in ctx.radius_squares), (n, v)
             for x in range(n):
                 for y in range(n):
-                    scanned = [
-                        (a * n + b) * n + val
-                        for a in range(n)
-                        for b in range(n)
-                        if (val := ((x - a) ** 2 + (y - b) ** 2) % n) in ctx.radius_squares
-                    ]
-                    keys = ctx.circles_through(x * n + y)
-                    assert sorted(keys) == sorted(scanned), (n, x, y)
+                    for v in range(n):
+                        scanned = sum(
+                            1 << a * n + b
+                            for a in range(n)
+                            for b in range(n)
+                            if v in ctx.radius_squares and ((x - a) ** 2 + (y - b) ** 2) % n == v
+                        )
+                        assert ctx.translate(masks[v], x * n + y) == scanned, (n, x, y, v)
 
     def test_agrees_with_circle_masks(self):
         # the search's point masks: r is on a circle through p, q and c
-        # exactly when some key through all three has r in its base
-        # circle's mask translated to the centre
+        # exactly when some v has a centre in the three translates of C[v]
+        # whose circle, C[v] translated to it, holds r
         rng = random.Random(51)
         seen = set()
         for n in (4, 5, 6, 8, 9):
@@ -254,10 +267,12 @@ class TestOnCircle:
                 if len(set(pts)) != 4:
                     continue
                 p, q, c, r = [u * n + v for u, v in pts]
-                keys = set(ctx.circles_through(p)) & set(ctx.circles_through(q))
                 fast = any(
-                    ctx.translate(masks[key % n], key // n) >> r & 1
-                    for key in keys.intersection(ctx.circles_through(c))
+                    ctx.translate(base, centre) >> r & 1
+                    for base in masks
+                    for centre in range(n * n)
+                    if (ctx.translate(base, p) & ctx.translate(base, q) & ctx.translate(base, c))
+                    >> centre & 1
                 )
                 assert fast == mod_on_circle(*pts, ctx), (n, pts)
                 seen.add(fast)

@@ -791,14 +791,17 @@ class TestMinimumDiameter:
 
 @pytest.mark.slow
 class TestSecondDiameterSlow:
-    def test_three_heptagons_known(self, heptagon2):
-        """At diameter 66810 with characteristic 2002 there are exactly two
-        sets in general position: the shipped certificate and one more."""
+    def test_three_heptagons_known(self, heptagon1, heptagon2):
+        """At diameter 66810 = 3 * 22270 with characteristic 2002 there are
+        exactly two sets in general position: the shipped second certificate
+        and the first one scaled by 3, no further heptagon."""
         out = list(search(SearchConfig(7, 66810, 66810, CharFilter.fixed(2002))))
         assert len(out) == 2
         assert heptagon2 in out
         extra = next(m for m in out if m != heptagon2)
         assert extra.rows[0] == (0, 66810, 66294, 49911, 27744, 26724, 25908)
+        scaled = DistanceMatrix([[3 * x for x in row] for row in heptagon1.rows])
+        assert extra == canonical_form(scaled)[0]
         assert verify(extra).passed
 
     def test_primorial_restricted_search_at_22270(self, heptagon1):
