@@ -3,7 +3,7 @@
 Subcommands: verify, embed, search, modsearch, catalog.  Exit codes are
 uniform across commands: 0 for semantic success, 1 for semantic failure
 (a failed verification, an unrealizable matrix), 2 for unusable input
-(parse errors, contradictory flags).
+(parse errors, contradictory flags, a number too hard to factor).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import catalog
-from .arith import decimal_int
+from .arith import FactorBoundExceeded, decimal_int
 from .modplane import mod_max_general_position
 from .pointset import (
     DistanceMatrix,
@@ -266,7 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FactorBoundExceeded as exc:  # a --char value or a Heron factor
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -389,7 +389,9 @@ def embed(m: DistanceMatrix, allow_collinear: bool = False) -> EmbeddedPointSet:
 
     With ``allow_collinear`` points may land on the base line (H = 0) and
     the reference point becomes the first point off the axis; otherwise
-    such points raise CollinearBase.
+    such points raise CollinearBase.  A Heron factor of the reference
+    triangle that ``arith.factorize`` cannot split within its bound raises
+    ``FactorBoundExceeded``.
     """
     n = m.n
     if n == 1:
@@ -583,7 +585,8 @@ def verify(m: DistanceMatrix | Sequence[Sequence[int]]) -> VerificationReport:
 
     Never raises for bad geometry: failures become report entries.  Raw
     nested sequences are accepted so that structurally broken input can
-    be diagnosed too.
+    be diagnosed too.  A Heron factor that ``arith.factorize`` cannot
+    split within its bound raises ``FactorBoundExceeded``.
     """
     try:
         matrix = m if isinstance(m, DistanceMatrix) else DistanceMatrix(m)

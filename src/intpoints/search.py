@@ -37,17 +37,25 @@ y, for all four of its signed pairs.  The bisector reflection swaps the
 base points and keeps distances and signs, so only one pair of each orbit
 under it is tested and an edge found there joins the reflected pair too,
 which halves the tests.  An edge of length t has squared scaled length
-(2d*t)^2, so a divisibility test by 4d^2 screens the pairs before the
-exact square root of the quotient t^2.  An edge is dropped when its two
-points are collinear with a base point or concyclic with both, so the
-clique search tests only triples and quadruples of chosen points.  These
-are the kernel's three base-point tests (``pointset._line`` and
+(2d*t)^2, a multiple of 4d^2 (the screen below) and a perfect square, so
+only the perfect squares among the squared lengths have their root taken,
+and it must be a multiple of 2d of at most 2d^2.  An edge is dropped when
+its two points are collinear with a base point or concyclic with both, so
+the clique search tests only triples and quadruples of chosen points.
+These are the kernel's three base-point tests (``pointset._line`` and
 ``pointset._circle``), which the edge build writes out in closed form, one
 integer cross-multiplication each, while the clique search and ``verify``
-call the kernel.  k-core pruning removes vertices with fewer than n - 3
-live neighbours.  The depth-first search then runs on an explicit stack of candidate bitsets,
-one per depth, and takes candidates lowest index first; after each new
-vertex it keeps the candidates among
+call the kernel.  Two classes on one ray from (0, 0) lie an integral
+|a - a'| apart, and with equal signs of y on one line through (0, 0),
+and their bisector images on one through (d, 0): such a pair passes the
+screen and the root only for a base test to drop it.  So each class and
+its bisector image form a reflection pair, the pairs of a sign group
+(below) are sorted by the ray of one class of each, and that class is
+not tested with equal signs against the others of its ray.  A key with no
+edge stops there when n >= 4.  k-core pruning removes vertices with fewer
+than n - 3 live neighbours.  The depth-first search then runs on an
+explicit stack of candidate bitsets, one per depth, and takes candidates
+lowest index first; after each new vertex it keeps the candidates among
 its neighbours (a bitset intersection) that lie on no line through it and
 an earlier chosen point and on no circle through it and two earlier chosen
 or base points, and it drops a level once the chosen and remaining
@@ -121,6 +129,7 @@ from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import BinaryIO, Iterator, Optional
 
 from .arith import decimal_int, factorize, primes_up_to
@@ -137,7 +146,8 @@ class CharFilter:
 
     kind: str = "any"  # "any" | "fixed" | "divisor"
     value: Optional[int] = None
-    # the primes of value, in increasing order: value is factored here once
+    # the primes of value, in increasing order: value is factored here once,
+    # and a value too hard to factor raises FactorBoundExceeded
     primes: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -442,10 +452,10 @@ def _odd_prime_powers(d: int) -> tuple[tuple[int, int, int], ...]:
 
 def _sign_groups(
     d: int, k: int, classes: list[tuple[int, int, int, int]], image_of: list[int]
-) -> list[tuple[tuple[int, int, int, int, int], tuple[list, list]]]:
+) -> list[tuple[tuple[int, int, int, int, int], tuple[list, list, list[int]]]]:
     """The reflection pairs of ``classes`` grouped by their signs at the odd
-    primes of d, as ((care, zero, wild, none, bits), (lows, highs)) in order
-    of first use.
+    primes of d, as ((care, zero, wild, none, bits), (lows, highs, ends))
+    in order of first use.
 
     At a prime p with p^e || d, let p^v be the power of p that divides both
     X and S, and X'/S' the ratio with it taken out.  A class with v < e has
@@ -464,6 +474,12 @@ def _sign_groups(
     that the reflection fixes have no sign and follow the pairs in the lows
     of group (0, 0, 0, 0, 0).  An entry is (X, S, k*S^2, the class's
     index).
+
+    The pairs of a group are sorted by the ray of their low from (0, 0),
+    the reduced (X, S), so that the lows on one ray form a run, and
+    ``ends[r]`` is the end of the run of the r-th low; a class that the
+    reflection fixes is a run of its own.  A group of one pair does no ray
+    work.
     """
     x2 = 2 * d * d
     # each prime where some class has a sign, with that first class's X'/S'
@@ -509,7 +525,18 @@ def _sign_groups(
             highs.append(high)
     if fixed:
         groups.setdefault((0, 0, 0, 0, 0), ([], []))[0].extend(fixed)
-    return list(groups.items())
+    blocks = []
+    for key, (lows, highs) in groups.items():
+        ends = list(range(1, len(lows) + 1))
+        if len(highs) > 1:
+            # the pairs by the ray of their low from (0, 0), X and S > 0
+            rays = [(x // (g := math.gcd(x, y)), y // g) for x, y, _, _ in lows[: len(highs)]]
+            rays, lows[: len(highs)], highs[:] = zip(*sorted(zip(rays, lows, highs)))
+            for r in range(len(highs) - 2, -1, -1):
+                if rays[r] == rays[r + 1]:
+                    ends[r] = ends[r + 1]
+        blocks.append((key, (lows, highs, ends)))
+    return blocks
 
 
 def _adjacency(
@@ -541,18 +568,23 @@ def _adjacency(
     the primes of ``care`` constrain.  The r-th low of a group tests the
     lows and highs of its own group from the r-th on, so each orbit of
     class pairs under the reflection is tested once, and an edge found also
-    joins the images.  The count of pairs tested is that of the squared
-    distances formed, one per orbit and sign relation.
+    joins the images; but with equal signs it tests its group's lows only
+    after the end of its run, as a low on its ray lies with it on one line
+    through (0, 0), and the images of the two on one through (d, 0).
+    The count of pairs tested is that of the squared distances formed, one
+    per orbit and sign relation.  Of those, only the perfect squares have
+    their root taken, and the root must be a multiple of 2d of at most
+    2d^2: that is the 4d^2 screen and t <= d.  The base tests come last.
     """
-    edge_unit = 4 * d * d
+    two_d = 2 * d
     x2 = 2 * d * d
     adj = [0] * (2 * len(classes))
     pairs = 0
     blocks = _sign_groups(d, k, classes, image_of)
-    for gi, ((care, zero, wild, none, bits), (lows, highs)) in enumerate(blocks):
+    for gi, ((care, zero, wild, none, bits), (lows, highs, ends)) in enumerate(blocks):
         same: list = []
         opposite: list = []
-        for (care2, zero2, wild2, none2, bits2), (lows2, highs2) in blocks[gi + 1 :]:
+        for (care2, zero2, wild2, none2, bits2), (lows2, highs2, _) in blocks[gi + 1 :]:
             if none & zero2 or zero & none2:
                 continue
             common = care & care2 | wild & zero2 | zero & wild2
@@ -564,7 +596,8 @@ def _adjacency(
                 same += highs2
                 opposite += lows2
         for r, (x, y, ky, i) in enumerate(lows):
-            equal = lows[r + 1 :] + same
+            # the lows on this row's ray from (0, 0) end at ends[r]
+            equal = lows[ends[r] :] + same
             flipped = highs[r:] + opposite
             if not care:
                 equal += highs[r:]
@@ -572,19 +605,20 @@ def _adjacency(
             # Squared scaled distances to the classes tested with equal
             # (flip 0) and with opposite (flip 1) signs of y; no two of the
             # vertices coincide.  An edge of length t has n2 = (2d*t)^2, so
-            # only multiples of 4d^2 go on, and the exact root is taken of
-            # the quotient t^2.
+            # only perfect squares go on, and their root must be a multiple
+            # of 2d of at most 2d^2.
             two_ky = 2 * k * y
             # the row's constants of the three base tests below
             xr = x2 - x
             power = x2 * x - x * x - ky
             for flip, cross, targets in ((0, -two_ky, equal), (1, two_ky, flipped)):
-                n2s = [(x - xq) ** 2 + ky + kyq + cross * yq for xq, yq, kyq, _ in targets]
+                n2s = [(dx := x - xq) * dx + ky + kyq + cross * yq for xq, yq, kyq, _ in targets]
                 pairs += len(n2s)
-                for j in [j for j, n2 in enumerate(n2s) if n2 % edge_unit == 0]:
-                    t2 = n2s[j] // edge_unit
-                    t = math.isqrt(t2)
-                    if t * t != t2 or t > d:
+                squares = [
+                    (j, root) for j, n2 in enumerate(n2s) if (root := isqrt(n2)) * root == n2
+                ]
+                for j, root in squares:
+                    if root % two_d or root > x2:
                         continue
                     xq, yq, kyq, iq = targets[j]
                     yq = -yq if flip else yq
@@ -630,9 +664,11 @@ def _clique_stream(
     classes by their signs at the odd primes of d, wild vertices' included
     (``_sign_groups``), and tests a pair of classes with equal signs of y
     only where their signs agree and with opposite signs only where they
-    are opposite: the other pairs fail the 4d^2 screen.  The screen, the exact root, the base tests
-    and the vertex numbering are those of a test of every pair, so the edges
-    are too.
+    are opposite: the other pairs fail the 4d^2 screen.  Nor does it test
+    two classes on one ray from (0, 0) with equal signs, which a base test
+    drops.  The exact root, the base tests and the vertex numbering are
+    those of a test of every pair, so the edges are too.  A key with no
+    edge returns at n >= 4; at n = 3 a lone vertex is a set.
 
     The depth-first search runs on an explicit stack of candidate bitsets,
     lowest index first, so cliques come out in the order of an ascending
@@ -660,6 +696,8 @@ def _clique_stream(
     position = {(a, b): i for i, (a, b, _, _) in enumerate(classes)}
     image_of = [position[b, a] for a, b, _, _ in classes]
     adj, _ = _adjacency(d, k, classes, image_of)
+    if n >= 4 and not any(adj):
+        return
 
     # k-core: every vertex of a clique on `need` vertices has `need - 1`
     # neighbours in it.

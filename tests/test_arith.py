@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intpoints import arith
-from intpoints.arith import factorize, is_probable_prime, squarefree_part
+from intpoints.arith import FactorBoundExceeded, factorize, is_probable_prime, squarefree_part
 
 from .oracles import sympy_factorize, sympy_is_prime, sympy_squarefree_part
 
@@ -135,3 +135,14 @@ class TestFactorize:
         edges = [4093**2 - 1, 2 * 4099, 3 * 4091 * 4093]
         for n in edges + [rng.randrange(1, 4093**2) for _ in range(500)]:
             assert factorize(n) == sympy_factorize(n), n
+
+    def test_bound_on_pollard_rho_steps(self, monkeypatch):
+        # rho splits 1000003 * 1000033 in 478 steps, not within 100; trial
+        # division and the primality test need no step
+        n = 1_000_003 * 1_000_033
+        assert factorize(n) == {1_000_003: 1, 1_000_033: 1}
+        monkeypatch.setattr(arith, "_RHO_STEPS", 100)
+        assert factorize(2 * 1_000_003**2) == {2: 1, 1_000_003: 2}
+        with pytest.raises(FactorBoundExceeded) as info:
+            factorize(6 * n)
+        assert str(info.value) == f"cannot factor {6 * n} within the bound of 100 Pollard rho steps"

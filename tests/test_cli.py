@@ -476,6 +476,10 @@ class TestDeterminism:
             # circles through two earlier chosen points included
             (("--n", "6", "--dmin", "170", "--dmax", "176"),
              "a2ab6719e369655aa894045ccec3240e56d00d7c779adf8e5b2d1422d10c1c9a"),
+            # 31 sets over d = 1009..1013, primes and composites, whose keys
+            # hold many classes on one ray from (0, 0)
+            (("--n", "5", "--char", "div:6469693230", "--dmin", "1009", "--dmax", "1013"),
+             "7de8ea1957e45977228a8e5ebff5a0119d0b4d23e553eb64394e38dc9a8b6a89"),
         ):
             rc, out, _ = run(capsys, "search", *argv)
             assert rc == 0
@@ -663,6 +667,33 @@ class TestSearchOutOfMemory:
             f"{search_module._PAIR_BYTES} bytes a pair, more than the {memory:,} bytes of "
             "physical memory\n"
         )
+
+
+class TestFactorBound:
+    """A number that ``arith.factorize`` cannot split within its bound on
+    Pollard rho steps ends search, verify and embed with exit 2 and a
+    message, not a traceback."""
+
+    def test_char_value_exits_2(self, capsys):
+        # the product of the next primes after 10^20 and 3*10^20, at the
+        # bound of 2^20 steps
+        value = 30000000000000000017000000000000000002067
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "10", "--char", f"div:{value}")
+        assert (rc, out) == (2, "")
+        assert err == f"error: cannot factor {value} within the bound of 1,048,576 Pollard rho steps\n"
+
+    @pytest.mark.parametrize("argv", [("verify",), ("verify", "--json"), ("embed",)])
+    def test_heron_factor_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        # the triangle (x, x, 1) has the Heron factor 2x + 1 = 1000003 *
+        # 1000033, which rho splits in 478 steps: not within 100
+        monkeypatch.setattr(sys.modules["intpoints.arith"], "_RHO_STEPS", 100)
+        hard = 1_000_003 * 1_000_033
+        x = (hard - 1) // 2
+        path = tmp_path / "hard.txt"
+        path.write_text(f"3\n0 {x} {x}\n{x} 0 1\n{x} 1 0\n")
+        rc, out, err = run(capsys, *argv, str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"error: cannot factor {hard} within the bound of 100 Pollard rho steps\n"
 
 
 class TestModsearchOutOfMemory:

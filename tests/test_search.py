@@ -490,6 +490,30 @@ def key_classes(d, k):
     return classes, [position[b, a] for a, b, _, _ in classes]
 
 
+def all_pairs_adjacency(d, k):
+    """Neighbour bitsets over ``naive_vertices(d, k)`` from a test of every
+    vertex pair, and the number of pairs at integral distance at most d
+    that lie on a line through (0, 0), on one through (d, 0), and on a
+    circle through both: the edge build's three base tests."""
+    verts = naive_vertices(d, k)
+    base = [(Fraction(0), Fraction(0)), (Fraction(d), Fraction(0))]
+    adj = [0] * len(verts)
+    rejected = [0, 0, 0]
+    for i, j in combinations(range(len(verts)), 2):
+        p, q = verts[i][2:4], verts[j][2:4]
+        sq = (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
+        t = math.isqrt(sq.numerator)
+        if sq.denominator != 1 or t * t != sq.numerator or t > d:
+            continue
+        kinds = [(p[0] - b[0]) * (q[1] - b[1]) == (q[0] - b[0]) * (p[1] - b[1]) for b in base]
+        kinds.append(cross_ratio_concyclic_or_collinear(base + [p, q], k))
+        rejected = [n + kind for n, kind in zip(rejected, kinds)]
+        if not any(kinds):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj, rejected
+
+
 def multiplicity(n, p):
     """The exponent of the prime p in n > 0."""
     v = 0
@@ -528,9 +552,10 @@ class TestSignBlocks:
 
     # the pairs tested on a key: on the first heptagon's key, 2 * 5 * 17 *
     # 131, 16 415 reflection orbits of (class pair, sign relation) pass the
-    # screen, and its wild vertices (v = e = 1) all have neither sign; on
-    # the second's, three times that d, 73 305
-    TESTED = {(22270, 2002): 16415, (66810, 2002): 73305}
+    # screen, and its wild vertices (v = e = 1) all have neither sign; 3 700
+    # of them join two lows on one ray from (0, 0) and are not formed.  On
+    # the second's, three times that d, 73 305 pass and 9 322 are not formed
+    TESTED = {(22270, 2002): 12715, (66810, 2002): 63983}
 
     @pytest.mark.parametrize(
         "d, k, deep",
@@ -548,10 +573,18 @@ class TestSignBlocks:
         classes, image_of = key_classes(d, k)
         blocks = _sign_groups(d, k, classes, image_of)
         sign = {}
-        for key, (lows, highs) in blocks:
-            assert len(highs) <= len(lows)
+        for key, (lows, highs, ends) in blocks:
+            assert len(highs) <= len(lows) == len(ends)
             for low, high in zip(lows, highs):
                 assert image_of[low[3]] == high[3]
+            # the lows of the pairs on one ray from (0, 0) form one run,
+            # lows[r:ends[r]]; a class that the reflection fixes is a run
+            pairs = lows[: len(highs)]
+            for r, (x, y, _, _) in enumerate(pairs):
+                assert r < ends[r] <= len(pairs)
+                for s, (xq, yq, _, _) in enumerate(pairs):
+                    assert (x * yq == xq * y) == (r <= s < ends[r] or s <= r < ends[s])
+            assert ends[len(pairs) :] == list(range(len(pairs) + 1, len(lows) + 1))
             for entry in lows:
                 sign[entry[3]] = key
             for entry in highs:
@@ -588,21 +621,22 @@ class TestSignBlocks:
         tested = self.TESTED.get((d, k))
         if tested is not None:
             assert wild_skipped
-            # the pairs _adjacency tests, from the group sizes: a low tests
-            # its own group's lows after it and highs from its place on
-            # (with both signs where no prime constrains, its mirror
-            # partner included), and every block of each later group
+            # the pairs _adjacency tests, from the group and run sizes: a low
+            # tests its own group's lows after its run with equal signs and
+            # from its place on with opposite signs (where no prime
+            # constrains, its mirror partner included), its highs from its
+            # place on, and every block of each later group
             count = 0
-            for gi, (key, (lows, highs)) in enumerate(blocks):
+            for gi, (key, (lows, highs, ends)) in enumerate(blocks):
                 later = sum(
                     len(lows2) * len(screen_flips(key, key2))
                     + len(highs2) * len(screen_flips(key, image_key(key2)))
-                    for key2, (lows2, highs2) in blocks[gi + 1 :]
+                    for key2, (lows2, highs2, _) in blocks[gi + 1 :]
                 )
+                own = screen_flips(key, key)
                 for r in range(len(lows)):
-                    count += (len(lows) - r - 1) * len(screen_flips(key, key)) + later
-                    count += len(highs[r:]) * len(screen_flips(key, image_key(key)))
-                    count += 1 in screen_flips(key, key)
+                    count += (len(lows) - ends[r]) * (0 in own) + (len(lows) - r) * (1 in own)
+                    count += len(highs[r:]) * len(screen_flips(key, image_key(key))) + later
             assert count == tested
 
     @pytest.mark.parametrize(
@@ -610,33 +644,51 @@ class TestSignBlocks:
     )
     def test_edges_and_cliques_match_brute_force(self, d, k):
         classes, image_of = key_classes(d, k)
-        verts = naive_vertices(d, k)
-        assert len(verts) == 2 * len(classes)
-        base = [(Fraction(0), Fraction(0)), (Fraction(d), Fraction(0))]
-        expected = [0] * len(verts)
-        # the pairs at integral distance that lie on a line through (0, 0),
-        # on one through (d, 0), and on a circle through both: the edge
-        # build's three base tests, each of which must drop some edge here
-        rejected = [0, 0, 0]
-        for i, j in combinations(range(len(verts)), 2):
-            p, q = verts[i][2:4], verts[j][2:4]
-            sq = (p[0] - q[0]) ** 2 + k * (p[1] - q[1]) ** 2
-            t = math.isqrt(sq.numerator)
-            if sq.denominator != 1 or t * t != sq.numerator or t > d:
-                continue
-            kinds = [
-                (p[0] - b[0]) * (q[1] - b[1]) == (q[0] - b[0]) * (p[1] - b[1]) for b in base
-            ]
-            kinds.append(cross_ratio_concyclic_or_collinear(base + [p, q], k))
-            rejected = [n + kind for n, kind in zip(rejected, kinds)]
-            if any(kinds):
-                continue
-            expected[i] |= 1 << j
-            expected[j] |= 1 << i
+        expected, rejected = all_pairs_adjacency(d, k)
+        assert len(expected) == 2 * len(classes)
+        # each of the edge build's three base tests must drop some edge here
         assert all(rejected), rejected
         adj, _ = _adjacency(d, k, classes, image_of)
         assert adj == expected
         assert_matches_brute_force(d, k)
+
+    def test_rays_lose_no_edge(self):
+        # d = 17, k = 35: nine classes, four of them lows on one ray from
+        # (0, 0); two points on one ray lie an integral |a - a'| apart, so
+        # every pair of a run passes the screen and the root, and only the
+        # line test through (0, 0) drops it
+        d, k = 17, 35
+        classes, image_of = key_classes(d, k)
+        blocks = _sign_groups(d, k, classes, image_of)
+        assert max(ends[r] - r for _, (_, highs, ends) in blocks for r in range(len(highs))) == 4
+        adj, _ = _adjacency(d, k, classes, image_of)
+        expected, rejected = all_pairs_adjacency(d, k)
+        assert rejected[0] and any(expected)
+        assert adj == expected
+
+    def test_runs_skip_pairs_on_a_line_through_the_origin(self):
+        # d = 1009, a prime, and the key of the most classes under the
+        # primorial bound: a pair that a run skips lies on one line through
+        # (0, 0) with equal signs of y, at the integral distance |a - a'|,
+        # and its bisector image on one through (d, 0), so a base test
+        # drops both: 379 of the 961 orbits that a build without runs forms
+        d, k = 1009, 105
+        groups = _candidate_groups(d, CharFilter.divisor_of(6469693230), 7)
+        assert max(groups, key=lambda key: len(groups[key])) == k
+        classes, image_of = key_classes(d, k)
+        assert classes == groups[k]
+        x2 = 2 * d * d
+        skipped = 0
+        for _, (lows, highs, ends) in _sign_groups(d, k, classes, image_of):
+            for r, ((x, y, _, i), (hx, hy, _, _)) in enumerate(zip(lows, highs)):
+                for (xq, yq, _, iq), (hxq, hyq, _, _) in zip(lows[r + 1 : ends[r]], highs[r + 1 :]):
+                    assert x * yq == xq * y
+                    assert (x2 - hx) * hyq == (x2 - hxq) * hy
+                    t = classes[i][0] - classes[iq][0]
+                    assert (x - xq) ** 2 + k * (y - yq) ** 2 == (2 * d * t) ** 2
+                    skipped += 1
+        _, pairs = _adjacency(d, k, classes, image_of)
+        assert (skipped, pairs) == (379, 582)
 
     @pytest.mark.parametrize("d, k", [(22270, 2002), (66810, 2002)])
     def test_pairs_tested(self, d, k):
