@@ -2,8 +2,9 @@
 
 Subcommands: verify, embed, search, modsearch, catalog.  Exit codes are
 uniform across commands: 0 for semantic success, 1 for semantic failure
-(a failed verification, an unrealizable matrix), 2 for unusable input
-(parse errors, contradictory flags, a number too hard to factor).
+(a failed verification, an unrealizable matrix), 2 for unusable input or
+output (parse errors, contradictory flags, a number too hard to factor, an
+unreadable file, a stdout closed early).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -64,11 +66,7 @@ def _coords_json(e: EmbeddedPointSet) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        m = _read_matrix(args.matrix)
-    except (OSError, InvalidDistanceMatrix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m = _read_matrix(args.matrix)
     report = verify(m)
     if args.json:
         payload = {
@@ -87,11 +85,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        m = _read_matrix(args.matrix)
-    except (OSError, InvalidDistanceMatrix) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m = _read_matrix(args.matrix)
     try:
         e = embed(m)
     except NotRealizable as exc:
@@ -159,9 +153,6 @@ def cmd_search(args) -> int:
             # the search, so its records must have left this process first
             print(_record(m), flush=args.resume is not None)
             count += 1
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except IndexTooLarge as exc:  # refused before it was built
         print(f"error: out of memory after {count} point set(s): {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -268,8 +259,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FactorBoundExceeded as exc:  # a --char value or a Heron factor
+    # input or output no command can use, a stdout closed early included
+    except (OSError, InvalidDistanceMatrix, CheckpointError, FactorBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # a failed flush keeps its bytes, and the flush at exit would
+            # fail on them again: send them to devnull instead
+            try:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            except (OSError, ValueError):  # a stdout with no file descriptor
+                pass
         return EXIT_USAGE
 
 

@@ -91,19 +91,19 @@ Most keys at n = 4 are decided before any of this, by two rules that the
 candidate index evaluates on the raw (u, v) pairs of each key, before any
 entry (a, b, X, S), square root or clique stream exists for it.  A pair
 gives the classes (a, b) and (b, a), or one class when v = 0.  Unless k is
-a square, the two vertices of one class lie an irrational 2S*sqrt(k)/(2d)
-apart, so a clique holds at most one of them, and a key with fewer than
-n - 2 classes (half as many when k is a square) holds no set.  A key of
-one class c and its bisector image c' then holds a 4-point set only
-through an edge from c to c'.  With opposite signs of y, (0, 0), p, (d, 0)
-and p' form a parallelogram whose diagonals are the base and the edge, so
-t^2 = 2a^2 + 2b^2 - d^2 = u^2 + v^2 - d^2, and the key holds no set unless
-t is an integer of at most d.  With equal signs they form an isosceles
-trapezoid, which is cyclic, so the base-circle test drops that edge.  At
-n = 3 a single vertex is a set, so this rule applies at n = 4 only.  A key
-that either rule decides keeps an empty bucket: the search still counts
-it for its shard and logs it as done in a checkpoint, but it starts no
-clique stream.
+1, the only square among square-free keys, the two vertices of one class
+lie an irrational 2S*sqrt(k)/(2d) apart, so a clique holds at most one of
+them, and a key with fewer than n - 2 classes (half as many when k is 1)
+holds no set.  A key of one class c and its bisector image c' then holds a
+4-point set only through an edge from c to c'.  With opposite signs of y,
+(0, 0), p, (d, 0) and p' form a parallelogram whose diagonals are the base
+and the edge, so t^2 = 2a^2 + 2b^2 - d^2 = u^2 + v^2 - d^2, and the key
+holds no set unless t is an integer of at most d.  With equal signs they
+form an isosceles trapezoid, which is cyclic, so the base-circle test
+drops that edge.  At n = 3 a single vertex is a set, so this rule applies
+at n = 4 only.  A key that either rule decides keeps an empty bucket: the
+search still counts it for its shard and logs it as done in a checkpoint,
+but it starts no clique stream.
 
 Each point set is canonicalized once per orbit of cliques, not once per
 clique (McKay, "Isomorph-free exhaustive generation", 1998).  The mirror M
@@ -272,7 +272,7 @@ def _spf_sieve(d: int, k: int = 1, k_primes: tuple[int, ...] = ()) -> tuple[list
     power.  As x <= d and y <= 3d, only the primes up to sqrt(3d), the
     primes of 2d and the primes of k up to 3d divide a value more than
     once; a larger prime of k divides no x or y.  The primes of 2d are
-    found by trial division with the primes up to sqrt(3d).
+    those of d's one factorization (``_odd_prime_powers``) and 2.
 
     The divisors are grown, rather than the values divided in place, so
     that the parts come out as ints made one after another.  The index
@@ -284,14 +284,8 @@ def _spf_sieve(d: int, k: int = 1, k_primes: tuple[int, ...] = ()) -> tuple[list
     top = 3 * d
     v_squares, u_squares = [1] * d, [1] * d
     small = primes_up_to(math.isqrt(top))
-    exponents: dict[int, int] = {}
-    rest = 2 * d
-    for p in small:
-        while rest % p == 0:
-            rest //= p
-            exponents[p] = exponents.get(p, 0) + 1
-    if rest > 1:  # one prime above sqrt(3d) at most
-        exponents[rest] = 1
+    # 2^(v_2(d) + 1) || 2d, as 2^v_2(d) = d & -d
+    exponents = {p: e for p, e, _, _ in _odd_prime_powers(d)} | {2: (d & -d).bit_length()}
     # (square divisors, the index where x = 0 and where y = 0 mod any
     # power, the primes with c = 1): index v has x = d - v and y = d + v,
     # index u - d - 1 has x = u - d and y = u + d
@@ -414,14 +408,13 @@ def _candidate_groups(
         k, uvs = pairs.popitem()
         groups[k] = bucket = []
         # a pair gives the classes (a, b) and (b, a), one class when v = 0;
-        # unless k is a square, a clique holds one vertex of each class
-        square = math.isqrt(k) ** 2 == k
+        # unless k = 1, a clique holds one vertex of each class
         classes = 2 * len(uvs) - sum(1 for _, v in uvs if not v)
-        if (2 * classes if square else classes) < need:
+        if (2 * classes if k == 1 else classes) < need:
             continue
         # one orbit at n = 4: the parallelogram diagonal, of squared length
         # 2a^2 + 2b^2 - d^2 = u^2 + v^2 - d^2, must be an integer <= d
-        if need == 2 and not square and len(uvs) == 1 and uvs[0][1]:
+        if need == 2 and k != 1 and len(uvs) == 1 and uvs[0][1]:
             u, v = uvs[0]
             t2 = u * u + v * v - d2
             if math.isqrt(t2) ** 2 != t2 or t2 > d2:
@@ -442,12 +435,13 @@ def _candidate_groups(
 
 
 @lru_cache(maxsize=1)
-def _odd_prime_powers(d: int) -> tuple[tuple[int, int, int], ...]:
-    """(p, p^e, p^2e) for each odd prime p with p^e || d, in increasing order.
+def _odd_prime_powers(d: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, e, p^e, p^2e) for each odd prime p with p^e || d, in increasing
+    order: d's one factorization, read by its sieve and its keys' signs.
 
-    Cached for one d: a search takes the keys of each d in a row.
+    Cached for one d: a search sieves each d, then takes its keys in a row.
     """
-    return tuple((p, p**e, p ** (2 * e)) for p, e in sorted(factorize(d).items()) if p > 2)
+    return tuple((p, e, p**e, p ** (2 * e)) for p, e in sorted(factorize(d).items()) if p > 2)
 
 
 def _sign_groups(
@@ -484,7 +478,7 @@ def _sign_groups(
     x2 = 2 * d * d
     # each prime where some class has a sign, with that first class's X'/S'
     primes = []
-    for p, pe, pe2 in _odd_prime_powers(d):
+    for p, _, pe, pe2 in _odd_prime_powers(d):
         for _, _, x, y in classes:
             g = math.gcd(x, y, pe)
             if g != pe:

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -33,6 +35,19 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+class BrokenPipeAfter(io.StringIO):
+    """A stdout whose reader goes away once it has taken ``lines`` lines."""
+
+    def __init__(self, lines: int):
+        super().__init__()
+        self.lines = lines
+
+    def write(self, text: str) -> int:
+        if self.getvalue().count("\n") >= self.lines:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
 
 
 class TestVerifyCommand:
@@ -148,6 +163,15 @@ class TestEmbedCommand:
         assert out == ""
         assert err.startswith("error: ") and "UTF-8" in err
 
+    @pytest.mark.parametrize("case", ["missing", "asymmetric"])
+    def test_unusable_file_exits_2(self, capsys, tmp_path, case):
+        f = tmp_path / "m.txt"
+        if case == "asymmetric":
+            f.write_text("2\n0 1\n2 0\n")
+        rc, out, err = run(capsys, "embed", str(f))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSearchCommand:
     def test_unit_triangle(self, capsys):
@@ -209,6 +233,30 @@ class TestSearchCommand:
         )
         assert rc == 0
         assert not out.strip()  # everything done already
+
+    def test_closed_stdout_exits_2_and_resumes(self, capsys, monkeypatch, tmp_path):
+        # the window of test_search_shard_and_checkpoint_pinned, 1 421
+        # records; the key whose record met the closed pipe stays unlogged,
+        # so the second run starts at that key and repeats its records
+        # already taken
+        ck = str(tmp_path / "ck")
+        argv = ["search", "--n", "4", "--dmin", "81", "--dmax", "100", "--resume", ck]
+        stdout = BrokenPipeAfter(700)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        first = stdout.getvalue().splitlines(keepends=True)
+        assert len(first) == 700
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        rest = out.splitlines(keepends=True)
+        cut = first.index(rest[0]) if rest[0] in first else len(first)
+        assert first[cut:] == rest[: len(first) - cut]
+        whole = "".join(first[:cut] + rest)
+        assert hashlib.sha256(whole.encode()).hexdigest() == (
+            "188cdf538be344252a3a9278dbd2d6b65ee4e0fa529b73063c74dbc594645396"
+        )
 
     def test_resume_directory_exits_2(self, capsys, tmp_path):
         rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "8", "--resume", str(tmp_path))
@@ -616,6 +664,29 @@ class TestResumeAfterKill:
             rerun = subprocess.run(resume, stdout=fh, stderr=subprocess.DEVNULL, env=env, timeout=120)
         assert rerun.returncode == 0
         assert set(out.read_text().splitlines()) == set(full.stdout.splitlines())
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("resume", [False, True], ids=["plain", "resume"])
+    def test_reader_gone_after_one_line_exits_2(self, tmp_path, resume):
+        # 5 417 records, far more than a pipe buffer holds; the flush at
+        # interpreter exit, which an in-process run never reaches, must not
+        # fail on the bytes left in stdout's buffer
+        argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "intpoints",
+                "search", "--n", "4", "--dmax", "120"]
+        if resume:
+            argv += ["--resume", str(tmp_path / "ck")]
+        env = child_env()
+        # with it set stdout keeps no bytes, which hides the flush at exit
+        env.pop("PYTHONUNBUFFERED", None)
+        err = tmp_path / "err"
+        with open(err, "wb") as fh:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=fh, env=env)
+            assert proc.stdout.readline().startswith(b"{")
+            proc.stdout.close()
+            rc = proc.wait(timeout=120)
+        assert rc == 2
+        assert err.read_text() == "error: [Errno 32] Broken pipe\n"
 
 
 def assert_out_of_memory_exit(*argv):
