@@ -1,5 +1,5 @@
 """Exact integer arithmetic: strict decimal parsing, factorization and
-square-free parts.
+square-free parts, and the per-call bounds on factoring steps and memory.
 
 Unbounded integers only; there is no floating point anywhere in the
 package.
@@ -8,7 +8,9 @@ package.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
+from typing import Optional
 
 
 def decimal_int(text: str) -> int:
@@ -75,28 +77,45 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-# Pollard rho steps allowed on one composite cofactor, over all its
-# restarts.  Rho takes about sqrt(p) steps to split off a prime p, so this
-# splits in practice a cofactor whose least prime is below about 10^11 (the
-# 12-digit factors of the strong pseudoprime 318665857834031151167461 take
-# 188 312 steps); 2^20 steps on a 41-digit cofactor take about 2 s on one
-# x86-64 core.
+# Pollard rho steps allowed on one composite cofactor of up to 136 bits
+# (41 digits), over all its restarts.  Rho takes about sqrt(p) steps to
+# split off a prime p, so this splits in practice such a cofactor whose
+# least prime is below about 10^11 (the 12-digit factors of the strong
+# pseudoprime 318665857834031151167461 take 188 312 steps).  A step costs
+# more as the cofactor grows: 2^20 steps took 2.1 s at 135 bits, 5.9 s at
+# 331, 20.5 s at 995 and 147 s at 3 321 bits on one x86-64 core, so a
+# larger cofactor gets fewer, about 1 s or less in all (``_rho_steps``).
 _RHO_STEPS = 1 << 20
+
+
+def _rho_steps(n: int) -> int:
+    """``_RHO_STEPS`` for a cofactor n of up to 136 bits, and
+    ``_RHO_STEPS * 136**2 // bits**2`` above."""
+    return _RHO_STEPS * 136**2 // max(n.bit_length(), 136) ** 2
+
+
+@lru_cache(maxsize=1)
+def physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None when the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class FactorBoundExceeded(ArithmeticError):
     """A number with a cofactor that Pollard rho does not split within
-    ``_RHO_STEPS`` steps."""
+    ``_rho_steps`` steps."""
 
 
 def _pollard_rho(n: int) -> int:
     """Nontrivial factor of a composite ``n`` with no small prime factors,
-    or 0 when ``_RHO_STEPS`` steps find none."""
+    or 0 when ``_rho_steps(n)`` steps find none."""
     if n % 2 == 0:
         return 2
     x0 = 2
     c = 1
-    steps = _RHO_STEPS
+    steps = _rho_steps(n)
     while steps > 0:
         x = y = x0
         d = 1
@@ -117,7 +136,7 @@ def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of ``n >= 1`` as ``{prime: exponent}``.
 
     Raises ``FactorBoundExceeded`` when a composite cofactor does not split
-    within ``_RHO_STEPS`` Pollard rho steps.
+    within ``_rho_steps`` Pollard rho steps.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -150,7 +169,7 @@ def factorize(n: int) -> dict[int, int]:
         d = _pollard_rho(m)
         if not d:
             raise FactorBoundExceeded(
-                f"cannot factor {value} within the bound of {_RHO_STEPS:,} Pollard rho steps"
+                f"cannot factor {value} within the bound of {_rho_steps(m):,} Pollard rho steps"
             )
         rest += [m // d, d]
     return factors

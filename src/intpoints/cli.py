@@ -4,7 +4,8 @@ Subcommands: verify, embed, search, modsearch, catalog.  Exit codes are
 uniform across commands: 0 for semantic success, 1 for semantic failure
 (a failed verification, an unrealizable matrix), 2 for unusable input or
 output (parse errors, contradictory flags, a number too hard to factor, an
-unreadable file, a stdout closed early).
+unreadable file, a stdout closed early) and for input too large for memory
+(a search or modsearch refused before it allocates, or out of memory).
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from .pointset import (
     pointset_characteristic,  # not called here; perfbench/tracing.py wraps this name
     verify,
 )
-from .search import (
-    CharFilter,
-    CheckpointError,
-    IndexTooLarge,
-    SearchConfig,
-    physical_memory,
-    search,
-)
+from .search import CharFilter, CheckpointError, SearchConfig, search
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -146,57 +140,39 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     count = 0
-    out_of_memory = False
     try:
         for m in search(config, checkpoint=args.resume):
             # the checkpoint line of a key is written on the next step of
             # the search, so its records must have left this process first
             print(_record(m), flush=args.resume is not None)
             count += 1
-    except IndexTooLarge as exc:  # refused before it was built
-        print(f"error: out of memory after {count} point set(s): {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
+    except MemoryError as exc:
         # reported once the handler has let go of the traceback, whose
         # frames hold the search's partly built candidate index
-        out_of_memory = True
-    if out_of_memory:
-        print(
-            f"error: out of memory after {count} point set(s), searching diameters "
-            f"{config.d_min}..{config.d_max} (the candidate index of one diameter d "
-            "holds up to d(d+1)/2 candidates)",
-            file=sys.stderr,
+        detail = str(exc) or (
+            f"searching diameters {config.d_min}..{config.d_max} (the candidate index "
+            "of one diameter d holds up to d(d+1)/2 candidates)"
         )
-        return EXIT_USAGE
-    print(f"# {count} point set(s)", file=sys.stderr)
-    return EXIT_OK
+    else:
+        print(f"# {count} point set(s)", file=sys.stderr)
+        return EXIT_OK
+    print(f"error: out of memory after {count} point set(s): {detail}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def cmd_modsearch(args) -> int:
     m = args.modulus
-    # the adjacency and the line masks hold m^2 bitsets of m^2 bits each,
-    # the circle masks at most m: refuse before allocating when they alone
-    # exceed physical memory; the circle planes, at most 2m such bitsets
-    # per stack level, are left out (the stack is as deep as the chosen set)
-    memory = physical_memory()
-    bits = 2 * m**4 + m**3
-    if m >= 2 and memory is not None and bits // 8 > memory:
-        print(
-            f"error: out of memory: the adjacency, line and circle masks of Z_{m}^2 take "
-            f"2*{m}^4 + {m}^3 bits ({bits // 8:,} bytes), more than the "
-            f"{memory:,} bytes of physical memory",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
         result = mod_max_general_position(m, node_budget=args.budget)
     except ValueError as exc:  # a modulus below 2 or a negative budget
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
-        result = None  # reported once the traceback has let go of the bitsets
+    except MemoryError as exc:
+        # reported once the handler has let go of the traceback, whose
+        # frames hold the bitsets
+        result, detail = None, str(exc) or f"searching Z_{m}^2 (2*{m}^4 + {m}^3 mask bits)"
     if result is None:
-        print(f"error: out of memory searching Z_{m}^2 (2*{m}^4 + {m}^3 mask bits)", file=sys.stderr)
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return EXIT_USAGE
     bound = "=" if result.exact else ">="
     print(f"max_general_position(modulus={m}) {bound} {result.size}")

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
+from .arith import physical_memory
+
 ModPoint = tuple[int, int]
 
 
@@ -282,9 +284,23 @@ def mod_max_general_position(n: int, node_budget: Optional[int] = None) -> ModSe
     ``node_budget`` nodes are exhausted the best set found so far is
     returned flagged as a lower bound (``exact=False``); a negative budget
     raises ``ValueError``.
+
+    The adjacency and the line masks hold n^2 bitsets of n^2 bits each, the
+    circle masks at most n.  When these 2*n^4 + n^3 bits alone exceed
+    physical memory, ``MemoryError`` is raised before any mask is built.
+    The estimate leaves out ``ModContext``'s ``_keep`` and ``_wrap``, 2n
+    bitsets of n^2 bits, and the circle planes, at most 2n such bitsets per
+    stack level (the stack is as deep as the chosen set).
     """
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
+    bits = 2 * n**4 + n**3
+    memory = physical_memory()
+    if n >= 2 and memory is not None and bits // 8 > memory:
+        raise MemoryError(
+            f"the adjacency, line and circle masks of Z_{n}^2 take 2*{n}^4 + {n}^3 bits "
+            f"({bits // 8:,} bytes), more than the {memory:,} bytes of physical memory"
+        )
     ctx = ModContext(n)
     total = n * n  # point i is (i // n, i % n)
 

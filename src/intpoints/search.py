@@ -123,7 +123,6 @@ edges is found from both, as two cliques that G does not relate.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
@@ -132,7 +131,7 @@ from itertools import combinations
 from math import isqrt
 from typing import BinaryIO, Iterator, Optional
 
-from .arith import decimal_int, factorize, primes_up_to
+from .arith import decimal_int, factorize, physical_memory, primes_up_to
 from .pointset import DistanceMatrix, _avoids, _circle, _line, canonical_form
 
 # ---------------------------------------------------------------------------
@@ -239,20 +238,6 @@ def enumerate_triangles(d_max: int) -> Iterator[tuple[int, int, int]]:
 _PAIR_BYTES = 450
 
 
-class IndexTooLarge(MemoryError):
-    """A candidate index whose estimated size exceeds physical memory,
-    refused before it is built."""
-
-
-@lru_cache(maxsize=1)
-def physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None when the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _spf_sieve(d: int, k: int = 1, k_primes: tuple[int, ...] = ()) -> tuple[list[int], list[int]]:
     """Square-free parts of the values that the candidate index of diameter
     d keys by: of d^2 - v^2 for v = 0..d-1, and of k*(u^2 - d^2) for
@@ -345,7 +330,7 @@ def _candidate_groups(
     indexed, and only the u's whose key is in that index are walked, one
     lookup each.  The admitted (u, v) pairs are counted first, one bisection
     per u, and an index whose estimated size (``_PAIR_BYTES`` a pair)
-    exceeds physical memory raises ``IndexTooLarge`` before any pair is
+    exceeds physical memory raises ``MemoryError`` before any pair is
     built.  The pairs are then grouped by k.  A key
     whose pairs cannot hold an n-point set (the class count and, at n = 4,
     the one-orbit rule of the module docstring) keeps an empty bucket, so
@@ -384,7 +369,7 @@ def _candidate_groups(
     count = sum(cut for _, _, _, cut in reach)
     memory = physical_memory()
     if memory is not None and count * _PAIR_BYTES > memory:
-        raise IndexTooLarge(
+        raise MemoryError(
             f"the candidate index of d = {d} holds {count:,} (u, v) pairs, about "
             f"{count * _PAIR_BYTES:,} bytes at {_PAIR_BYTES} bytes a pair, more than the "
             f"{memory:,} bytes of physical memory"

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import nextprime
 
 from intpoints import arith
 from intpoints.arith import FactorBoundExceeded, factorize, is_probable_prime, squarefree_part
@@ -146,3 +147,17 @@ class TestFactorize:
         with pytest.raises(FactorBoundExceeded) as info:
             factorize(6 * n)
         assert str(info.value) == f"cannot factor {6 * n} within the bound of 100 Pollard rho steps"
+
+    @pytest.mark.parametrize(
+        "low, bits, steps", [(3 << 66, 136, 100), (3 << 134, 272, 25)], ids=["136-bits", "272-bits"]
+    )
+    def test_bound_falls_with_the_cofactor_size(self, monkeypatch, low, bits, steps):
+        # up to 136 bits a cofactor gets the whole bound, above it
+        # _RHO_STEPS * 136^2 // bits^2
+        monkeypatch.setattr(arith, "_RHO_STEPS", 100)
+        p = nextprime(low)
+        n = p * nextprime(p)
+        assert n.bit_length() == bits
+        with pytest.raises(FactorBoundExceeded) as info:
+            factorize(n)
+        assert str(info.value) == f"cannot factor {n} within the bound of {steps} Pollard rho steps"

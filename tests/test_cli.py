@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from sympy import nextprime
 
 import intpoints
 from intpoints import pointset as pointset_module
@@ -24,6 +25,7 @@ from intpoints.pointset import (
     embed,
     pointset_characteristic,
 )
+from intpoints.search import SearchConfig, search
 
 from .oracles import brute_force_mod_max
 
@@ -740,6 +742,23 @@ class TestSearchOutOfMemory:
         )
 
 
+    def test_memory_error_after_a_record_exits_2(self, monkeypatch, capsys):
+        # the record taken before the failure is kept and counted
+        first = next(search(SearchConfig(target_n=4, d_min=1, d_max=10)))
+
+        def out_of_memory(config, checkpoint=None):
+            yield first
+            raise MemoryError()
+
+        monkeypatch.setattr(sys.modules["intpoints.cli"], "search", out_of_memory)
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmin", "5", "--dmax", "9")
+        assert (rc, out) == (2, _record(first) + "\n")
+        assert err == (
+            "error: out of memory after 1 point set(s): searching diameters 5..9 (the "
+            "candidate index of one diameter d holds up to d(d+1)/2 candidates)\n"
+        )
+
+
 class TestFactorBound:
     """A number that ``arith.factorize`` cannot split within its bound on
     Pollard rho steps ends search, verify and embed with exit 2 and a
@@ -752,6 +771,14 @@ class TestFactorBound:
         rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "10", "--char", f"div:{value}")
         assert (rc, out) == (2, "")
         assert err == f"error: cannot factor {value} within the bound of 1,048,576 Pollard rho steps\n"
+
+    def test_large_char_value_gets_fewer_steps(self, capsys):
+        # the product of the next primes after 10^149 and 3*10^149, 992
+        # bits: 2^20 * 136^2 // 992^2 steps, about 0.3 s
+        value = nextprime(10**149) * nextprime(3 * 10**149)
+        rc, out, err = run(capsys, "search", "--n", "4", "--dmax", "10", "--char", f"div:{value}")
+        assert (rc, out) == (2, "")
+        assert err == f"error: cannot factor {value} within the bound of 19,708 Pollard rho steps\n"
 
     @pytest.mark.parametrize("argv", [("verify",), ("verify", "--json"), ("embed",)])
     def test_heron_factor_exits_2(self, capsys, monkeypatch, tmp_path, argv):
@@ -770,7 +797,7 @@ class TestFactorBound:
 class TestModsearchOutOfMemory:
     def test_memory_error_exits_2_without_traceback(self):
         # the adjacency and line masks of Z_5000^2 take 5000^4 bits each and
-        # the circle masks 5000^3, about 146 TiB in all: refused by that
+        # the circle masks 5000^3, about 142 TiB in all: refused by that
         # estimate before anything is allocated
         line = assert_out_of_memory_exit("modsearch", "--modulus", "5000")
         assert "2*5000^4 + 5000^3 bits (156,265,625,000,000 bytes)" in line
@@ -779,7 +806,7 @@ class TestModsearchOutOfMemory:
         # memory that holds the adjacency of Z_12^2 alone, 2 592 bytes, is
         # refused, as the line masks take as much again
         memory = 12**4 // 8
-        monkeypatch.setattr(sys.modules["intpoints.cli"], "physical_memory", lambda: memory)
+        monkeypatch.setattr(sys.modules["intpoints.modplane"], "physical_memory", lambda: memory)
         assert main(["modsearch", "--modulus", "12"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -787,6 +814,16 @@ class TestModsearchOutOfMemory:
             "error: out of memory: the adjacency, line and circle masks of Z_12^2 take "
             "2*12^4 + 12^3 bits (5,400 bytes), more than the 2,592 bytes of physical memory\n"
         )
+
+    def test_memory_error_in_the_search_exits_2(self, monkeypatch, capsys):
+        # a modulus under the estimate can still run out of memory
+        def out_of_memory(m, node_budget=None):
+            raise MemoryError()
+
+        monkeypatch.setattr(sys.modules["intpoints.cli"], "mod_max_general_position", out_of_memory)
+        rc, out, err = run(capsys, "modsearch", "--modulus", "7")
+        assert (rc, out) == (2, "")
+        assert err == "error: out of memory: searching Z_7^2 (2*7^4 + 7^3 mask bits)\n"
 
 
 class TestModuleEntry:

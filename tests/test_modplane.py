@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intpoints import modplane
 from intpoints.modplane import (
     ModContext,
     ModSearchResult,
@@ -484,6 +485,21 @@ class TestMaxGeneralPosition:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             mod_max_general_position(5, node_budget=-3)
+
+    def test_masks_larger_than_memory_are_refused(self, monkeypatch):
+        # memory that holds the adjacency of Z_12^2 alone, 2 592 bytes, is
+        # refused before any mask is built
+        def no_context(n):
+            raise AssertionError("ModContext built")
+
+        monkeypatch.setattr(modplane, "physical_memory", lambda: 12**4 // 8)
+        monkeypatch.setattr(modplane, "ModContext", no_context)
+        with pytest.raises(MemoryError) as info:
+            mod_max_general_position(12)
+        assert str(info.value) == (
+            "the adjacency, line and circle masks of Z_12^2 take 2*12^4 + 12^3 bits "
+            "(5,400 bytes), more than the 2,592 bytes of physical memory"
+        )
 
     @pytest.mark.parametrize(
         "n, budget, size, exact, nodes, witness",
